@@ -1,7 +1,7 @@
 // evmatch_cli — command-line front end for the whole pipeline.
 //
 //   ./evmatch_cli [--population N] [--density D] [--targets N|all]
-//                 [--algo ss|edp] [--practical] [--refine] [--index]
+//                 [--algo ss|edp] [--practical] [--refine]
 //                 [--e-noise SIGMA] [--vague-width W]
 //                 [--e-missing R] [--v-missing R]
 //                 [--seed S] [--export-matches FILE] [--export-elog FILE]
@@ -11,15 +11,12 @@
 // summary the bench harnesses report, and optionally exports CSVs for
 // downstream tooling.
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "baseline/edp.hpp"
-#include "core/match_counters.hpp"
 #include "core/matcher.hpp"
 #include "dataset/generator.hpp"
 #include "dataset/trace_io.hpp"
@@ -36,7 +33,6 @@ struct CliOptions {
   std::string algo{"ss"};
   bool practical{false};
   bool refine{false};
-  bool index{false};
   double e_noise{0.0};
   double vague_width{0.0};
   double e_missing{0.0};
@@ -55,8 +51,6 @@ void PrintUsage() {
       "  --algo ss|edp         matcher (default ss)\n"
       "  --practical           vague-aware splitting\n"
       "  --refine              matching refining (Algorithm 2)\n"
-      "  --index               vindex shortlist for the V stage (ss only;\n"
-      "                        results stay bit-identical)\n"
       "  --e-noise SIGMA       localization error, metres\n"
       "  --vague-width W       vague band width, metres\n"
       "  --e-missing R         fraction of device-less people\n"
@@ -81,7 +75,6 @@ bool ParseArgs(int argc, char** argv, CliOptions& options) {
     else if (arg == "--algo") options.algo = next();
     else if (arg == "--practical") options.practical = true;
     else if (arg == "--refine") options.refine = true;
-    else if (arg == "--index") options.index = true;
     else if (arg == "--e-noise") options.e_noise = std::stod(next());
     else if (arg == "--vague-width") options.vague_width = std::stod(next());
     else if (arg == "--e-missing") options.e_missing = std::stod(next());
@@ -133,16 +126,10 @@ int main(int argc, char** argv) {
   }
   std::cout << "matching " << targets.size() << " EIDs with "
             << options.algo << (options.practical ? " (practical)" : "")
-            << (options.refine ? " + refining" : "")
-            << (options.index ? " + index" : "") << "\n";
+            << (options.refine ? " + refining" : "") << "\n";
 
   MatchReport report;
-  std::string index_summary;
   if (options.algo == "edp") {
-    if (options.index) {
-      std::cerr << "error: --index applies to the ss matcher only\n";
-      return 2;
-    }
     EdpConfig edp_config = DefaultEdpConfig();
     edp_config.metrics = trace.metrics();
     edp_config.trace = trace.trace();
@@ -153,28 +140,11 @@ int main(int argc, char** argv) {
     MatcherConfig matcher_config = DefaultSsConfig(options.practical);
     matcher_config.refine.enabled = options.refine;
     matcher_config.refine.min_majority = 0.75;
-    matcher_config.enable_index = options.index;
     matcher_config.metrics = trace.metrics();
     matcher_config.trace = trace.trace();
     EvMatcher matcher(dataset.e_scenarios, dataset.v_scenarios,
                       dataset.oracle, matcher_config);
     report = matcher.Match(targets);
-    if (options.index) {
-      const obs::MetricsRegistry& reg = matcher.metrics();
-      const std::uint64_t avoided = reg.CounterValue(kCtrComparisonsAvoided);
-      std::ostringstream line;
-      line << "  index probes:        " << reg.CounterValue(kCtrIndexProbes)
-           << " (" << reg.CounterValue(kCtrIndexFallbacks) << " fallbacks)\n"
-           << "  comparisons avoided: " << avoided << " ("
-           << 100.0 * static_cast<double>(avoided) /
-                  static_cast<double>(
-                      std::max<std::uint64_t>(report.stats.feature_comparisons,
-                                              1))
-           << "%)\n"
-           << "  index build:         "
-           << reg.Latency(kLatIndexBuild).total_seconds << " s\n";
-      index_summary = line.str();
-    }
   } else {
     std::cerr << "error: unknown algorithm '" << options.algo << "'\n";
     return 2;
@@ -191,8 +161,7 @@ int main(int argc, char** argv) {
             << "  features extracted:  " << stats.features_extracted << "\n"
             << "  comparisons:         " << stats.feature_comparisons << "\n"
             << "  undistinguished:     " << stats.undistinguished_eids << "\n"
-            << "  refine rounds:       " << stats.refine_rounds << "\n"
-            << index_summary;
+            << "  refine rounds:       " << stats.refine_rounds << "\n";
 
   if (!options.export_matches.empty()) {
     std::ofstream out(options.export_matches);

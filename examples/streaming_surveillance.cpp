@@ -8,18 +8,13 @@
 // joint pass whose output is byte-identical to running the batch matcher
 // over the same records — which this example verifies.
 //
-// Usage: streaming_surveillance [rate_records_per_sec] [--index]
-//                                [--trace=FILE]
-//   rate 0 (default) replays as fast as backpressure admits. --index turns
-//   the vindex shortlist on for BOTH the streaming matcher and the batch
-//   reference, so the drain-equivalence check below also certifies the
-//   indexed path.
+// Usage: streaming_surveillance [rate_records_per_sec] [--trace=FILE]
+//   rate 0 (default) replays as fast as backpressure admits.
 
 #include <cstdlib>
 #include <iostream>
 #include <string>
 
-#include "core/match_counters.hpp"
 #include "core/matcher.hpp"
 #include "dataset/generator.hpp"
 #include "metrics/experiment.hpp"
@@ -32,18 +27,12 @@ int main(int argc, char** argv) {
   using namespace evm;
   obs::TraceSession trace(obs::ExtractTraceFlag(argc, argv));
   double rate = 0.0;
-  bool use_index = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--index") use_index = true;
-    else rate = std::atof(arg.c_str());
-  }
+  for (int i = 1; i < argc; ++i) rate = std::atof(argv[i]);
 
   DatasetConfig config;
   config.population = 300;
   config.ticks = 600;
-  // 4x4 grid: ~19 people per cell, dense enough that the optional --index
-  // shortlist clears its per-block minimum and actually engages.
+  // 4x4 grid: ~19 people per cell.
   config.cell_size_m = 250.0;
   config.seed = 77;
   std::cout << "Generating a surveillance day (" << config.population
@@ -59,8 +48,6 @@ int main(int argc, char** argv) {
                       dataset.config.inclusive_threshold,
                       dataset.config.vague_threshold};
   driver_config.match.targets = targets;
-  driver_config.match.enable_index = use_index;
-  driver_config.match.index.train_min_rows = 64;
   driver_config.v_workers = 4;
   driver_config.trace = trace.trace();
 
@@ -96,19 +83,9 @@ int main(int argc, char** argv) {
             << " ms, p95 " << latency.p95_seconds * 1e3 << " ms, p99 "
             << latency.p99_seconds * 1e3 << " ms\n";
 
-  if (use_index) {
-    std::cout << "  index probes        "
-              << reg.CounterValue(kCtrIndexProbes) << " ("
-              << reg.CounterValue(kCtrIndexFallbacks) << " fallbacks)\n";
-    std::cout << "  comparisons avoided "
-              << reg.CounterValue(kCtrComparisonsAvoided) << "\n";
-  }
-
-  // The drain-equivalence guarantee, demonstrated. With --index both sides
-  // run the shortlist; either way the results must match byte for byte.
+  // The drain-equivalence guarantee, demonstrated: the results must match
+  // byte for byte.
   MatcherConfig batch_config;
-  batch_config.enable_index = use_index;
-  batch_config.index.train_min_rows = 64;
   EvMatcher batch(dataset.e_scenarios, dataset.v_scenarios, dataset.oracle,
                   batch_config);
   const MatchReport expected = batch.Match(targets);

@@ -23,17 +23,10 @@ inline constexpr char kCtrScenariosProcessed[] = "match.scenarios_processed";
 // of MatchStats and its exact-equality determinism checks).
 inline constexpr char kCtrExactFeatureRows[] = "match.exact_feature_rows";
 inline constexpr char kCtrQuantizedFullScans[] = "match.quantized_full_scans";
-// Execution-path counters of the vindex shortlist (registry-only, like the
-// quantized pair above: the index changes how scans run, never what they
-// return, so these stay out of MatchStats).
-inline constexpr char kCtrIndexProbes[] = "match.index_probes";
-inline constexpr char kCtrIndexFallbacks[] = "match.index_fallbacks";
-inline constexpr char kCtrComparisonsAvoided[] = "match.comparisons_avoided";
 inline constexpr char kCtrGalleryExtractions[] = "gallery.extractions";
 // Stage latency stats (count = runs; totals delta-able across snapshots).
 inline constexpr char kLatEStage[] = "stage.e";
 inline constexpr char kLatVStage[] = "stage.v";
-inline constexpr char kLatIndexBuild[] = "vindex.build";
 // Gauges holding the latest run's derived statistics.
 inline constexpr char kGaugeDistinctScenarios[] = "match.distinct_scenarios";
 inline constexpr char kGaugeAvgScenariosPerEid[] =

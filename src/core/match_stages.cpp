@@ -22,6 +22,22 @@ SplitOutcome RunSplitStage(const EScenarioSet& scenarios,
   return outcome;
 }
 
+void MergeFilterCounters(const VidFilterCounters& from,
+                         VidFilterCounters& into) {
+  into.feature_comparisons += from.feature_comparisons;
+  into.scenarios_processed += from.scenarios_processed;
+  into.exact_feature_rows += from.exact_feature_rows;
+  into.quantized_full_scans += from.quantized_full_scans;
+}
+
+void PublishFilterCounters(const VidFilterCounters& counters,
+                           obs::MetricsRegistry& metrics) {
+  metrics.counter(kCtrFeatureComparisons).Add(counters.feature_comparisons);
+  metrics.counter(kCtrScenariosProcessed).Add(counters.scenarios_processed);
+  metrics.counter(kCtrExactFeatureRows).Add(counters.exact_feature_rows);
+  metrics.counter(kCtrQuantizedFullScans).Add(counters.quantized_full_scans);
+}
+
 void RunFilterStage(const std::vector<EidScenarioList>& lists,
                     const VScenarioSet& v_scenarios, FeatureGallery& gallery,
                     const VidFilterOptions& options,
@@ -30,53 +46,24 @@ void RunFilterStage(const std::vector<EidScenarioList>& lists,
                     ThreadPool* pool) {
   obs::StageSpan span(trace, "v-filter", metrics.latency(kLatVStage));
   obs::AmbientParentScope ambient(trace, span.id());
-  const obs::Counter comparisons = metrics.counter(kCtrFeatureComparisons);
-  const obs::Counter processed = metrics.counter(kCtrScenariosProcessed);
-  const obs::Counter exact_rows = metrics.counter(kCtrExactFeatureRows);
-  const obs::Counter full_scans = metrics.counter(kCtrQuantizedFullScans);
-  const obs::Counter index_probes = metrics.counter(kCtrIndexProbes);
-  const obs::Counter index_fallbacks = metrics.counter(kCtrIndexFallbacks);
-  const obs::Counter avoided = metrics.counter(kCtrComparisonsAvoided);
-
   results.resize(lists.size());
-  if (pool == nullptr) {
-    VidFilterCounters counters;
-    for (std::size_t i = 0; i < lists.size(); ++i) {
-      results[i] = FilterVid(lists[i], v_scenarios, gallery, counters,
-                             options, trace);
-    }
-    comparisons.Add(counters.feature_comparisons);
-    processed.Add(counters.scenarios_processed);
-    exact_rows.Add(counters.exact_feature_rows);
-    full_scans.Add(counters.quantized_full_scans);
-    index_probes.Add(counters.index_probes);
-    index_fallbacks.Add(counters.index_fallbacks);
-    avoided.Add(counters.comparisons_avoided);
-    return;
-  }
-
-  common::Mutex counters_mutex;
   VidFilterCounters total;
-  pool->ParallelFor(lists.size(), [&](std::size_t i) {
-    VidFilterCounters counters;
-    results[i] = FilterVid(lists[i], v_scenarios, gallery, counters,
-                           options, trace);
-    common::MutexLock lock(counters_mutex);
-    total.feature_comparisons += counters.feature_comparisons;
-    total.scenarios_processed += counters.scenarios_processed;
-    total.exact_feature_rows += counters.exact_feature_rows;
-    total.quantized_full_scans += counters.quantized_full_scans;
-    total.index_probes += counters.index_probes;
-    total.index_fallbacks += counters.index_fallbacks;
-    total.comparisons_avoided += counters.comparisons_avoided;
-  });
-  comparisons.Add(total.feature_comparisons);
-  processed.Add(total.scenarios_processed);
-  exact_rows.Add(total.exact_feature_rows);
-  full_scans.Add(total.quantized_full_scans);
-  index_probes.Add(total.index_probes);
-  index_fallbacks.Add(total.index_fallbacks);
-  avoided.Add(total.comparisons_avoided);
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < lists.size(); ++i) {
+      results[i] =
+          FilterVid(lists[i], v_scenarios, gallery, total, options, trace);
+    }
+  } else {
+    common::Mutex counters_mutex;
+    pool->ParallelFor(lists.size(), [&](std::size_t i) {
+      VidFilterCounters counters;
+      results[i] =
+          FilterVid(lists[i], v_scenarios, gallery, counters, options, trace);
+      common::MutexLock lock(counters_mutex);
+      MergeFilterCounters(counters, total);
+    });
+  }
+  PublishFilterCounters(total, metrics);
 }
 
 void RunFilterStageScheduled(const std::vector<EidScenarioList>& lists,
@@ -89,14 +76,6 @@ void RunFilterStageScheduled(const std::vector<EidScenarioList>& lists,
                              mapreduce::TaskScheduler& scheduler) {
   obs::StageSpan span(trace, "v-filter", metrics.latency(kLatVStage));
   obs::AmbientParentScope ambient(trace, span.id());
-  const obs::Counter comparisons = metrics.counter(kCtrFeatureComparisons);
-  const obs::Counter processed = metrics.counter(kCtrScenariosProcessed);
-  const obs::Counter exact_rows = metrics.counter(kCtrExactFeatureRows);
-  const obs::Counter full_scans = metrics.counter(kCtrQuantizedFullScans);
-  const obs::Counter index_probes = metrics.counter(kCtrIndexProbes);
-  const obs::Counter index_fallbacks = metrics.counter(kCtrIndexFallbacks);
-  const obs::Counter avoided = metrics.counter(kCtrComparisonsAvoided);
-
   results.resize(lists.size());
   common::Mutex counters_mutex;
   VidFilterCounters total;
@@ -113,21 +92,12 @@ void RunFilterStageScheduled(const std::vector<EidScenarioList>& lists,
       if (!ctx.ClaimCommit()) return mapreduce::AttemptStatus::kCommitLost;
       results[i] = std::move(result);
       common::MutexLock lock(counters_mutex);
-      total.feature_comparisons += counters.feature_comparisons;
-      total.scenarios_processed += counters.scenarios_processed;
-      total.exact_feature_rows += counters.exact_feature_rows;
-      total.quantized_full_scans += counters.quantized_full_scans;
+      MergeFilterCounters(counters, total);
       return mapreduce::AttemptStatus::kSuccess;
     });
   }
   scheduler.Run("stream-filter", "filter", tasks);
-  comparisons.Add(total.feature_comparisons);
-  processed.Add(total.scenarios_processed);
-  exact_rows.Add(total.exact_feature_rows);
-  full_scans.Add(total.quantized_full_scans);
-  index_probes.Add(total.index_probes);
-  index_fallbacks.Add(total.index_fallbacks);
-  avoided.Add(total.comparisons_avoided);
+  PublishFilterCounters(total, metrics);
 }
 
 MatchReport RunMatchPass(const std::vector<Eid>& targets,

@@ -55,11 +55,19 @@ struct RefineConfig {
                                          obs::MetricsRegistry& metrics,
                                          obs::TraceRecorder* trace);
 
+/// Adds every field of `from` into `into`. Every V-stage path merges its
+/// per-task counters through this, so no path can drop a field.
+void MergeFilterCounters(const VidFilterCounters& from,
+                         VidFilterCounters& into);
+
+/// Adds a V stage's merged counters to their match.* registry counters.
+void PublishFilterCounters(const VidFilterCounters& counters,
+                           obs::MetricsRegistry& metrics);
+
 /// Runs VID filtering for every list, recording the v-filter span / stage.v
-/// latency and accumulating match.feature_comparisons /
-/// match.scenarios_processed. A non-null `pool` fans the per-EID FilterVid
-/// calls out with ParallelFor; results and counter totals are identical
-/// either way.
+/// latency and publishing the merged VidFilterCounters. A non-null `pool`
+/// fans the per-EID FilterVid calls out with ParallelFor; results and
+/// counter totals are identical either way.
 void RunFilterStage(const std::vector<EidScenarioList>& lists,
                     const VScenarioSet& v_scenarios, FeatureGallery& gallery,
                     const VidFilterOptions& options,

@@ -17,9 +17,6 @@ EvMatcher::EvMatcher(const EScenarioSet& e_scenarios,
       config_(config),
       universe_(CollectUniverse(e_scenarios)),
       gallery_(oracle, &metrics(), config_.trace) {
-  if (config_.enable_index) {
-    index_ = std::make_unique<vindex::VIndex>(config_.index);
-  }
   if (config_.execution == ExecutionMode::kMapReduce) {
     EVM_CHECK_MSG(config_.split.mode == SplitMode::kWindowSignature,
                   "MapReduce execution requires the window-signature mode");
@@ -29,39 +26,6 @@ EvMatcher::EvMatcher(const EScenarioSet& e_scenarios,
     if (config_.engine.trace == nullptr) config_.engine.trace = config_.trace;
     engine_ = std::make_unique<mapreduce::MapReduceEngine>(config_.engine);
   }
-}
-
-void EvMatcher::EnsureIndexTrained() {
-  if (index_ == nullptr || index_->trained()) return;
-  obs::StageSpan span(config_.trace, "vindex.build",
-                      metrics().latency(kLatIndexBuild));
-  // Gather every non-empty V-scenario block in ascending id order — the
-  // deterministic training order the codebook contract requires. This also
-  // pre-warms the gallery, so the cost shows up here, not in the V stage.
-  std::vector<std::pair<std::uint64_t, const VScenario*>> ordered;
-  ordered.reserve(v_scenarios_.scenarios().size());
-  for (const VScenario& scenario : v_scenarios_.scenarios()) {
-    if (scenario.observations.empty()) continue;
-    ordered.emplace_back(scenario.id.value(), &scenario);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<const FeatureBlock*> blocks;
-  blocks.reserve(ordered.size());
-  for (const auto& [id, scenario] : ordered) {
-    blocks.push_back(&gallery_.Block(*scenario));
-  }
-  if (engine_ != nullptr) {
-    index_->TrainMapReduce(*engine_, blocks);
-  } else {
-    index_->Train(blocks);
-  }
-}
-
-VidFilterOptions EvMatcher::FilterOptions() const {
-  VidFilterOptions options = config_.filter;
-  if (index_ != nullptr && index_->trained()) options.index = index_.get();
-  return options;
 }
 
 SplitOutcome EvMatcher::RunSplit(const std::vector<Eid>& targets,
@@ -86,7 +50,7 @@ SplitOutcome EvMatcher::RunSplit(const std::vector<Eid>& targets,
 
 void EvMatcher::RunFilter(const std::vector<EidScenarioList>& lists,
                           std::vector<MatchResult>& results) {
-  const VidFilterOptions options = FilterOptions();
+  const VidFilterOptions& options = config_.filter;
   if (engine_ == nullptr) {
     RunFilterStage(lists, v_scenarios_, gallery_, options, results,
                    metrics(), config_.trace);
@@ -96,14 +60,6 @@ void EvMatcher::RunFilter(const std::vector<EidScenarioList>& lists,
   obs::TraceRecorder* const trace = config_.trace;
   obs::StageSpan span(trace, "v-filter", reg.latency(kLatVStage));
   obs::AmbientParentScope ambient(trace, span.id());
-  const obs::Counter comparisons = reg.counter(kCtrFeatureComparisons);
-  const obs::Counter processed = reg.counter(kCtrScenariosProcessed);
-  const obs::Counter exact_rows = reg.counter(kCtrExactFeatureRows);
-  const obs::Counter full_scans = reg.counter(kCtrQuantizedFullScans);
-  const obs::Counter index_probes = reg.counter(kCtrIndexProbes);
-  const obs::Counter index_fallbacks = reg.counter(kCtrIndexFallbacks);
-  const obs::Counter avoided = reg.counter(kCtrComparisonsAvoided);
-
   results.resize(lists.size());
 
   // Parallel V stage (paper Sec. V-C).
@@ -146,28 +102,15 @@ void EvMatcher::RunFilter(const std::vector<EidScenarioList>& lists,
       if (!ctx.ClaimCommit()) return mapreduce::AttemptStatus::kCommitLost;
       results[i] = std::move(result);
       common::MutexLock lock(counters_mutex);
-      total.feature_comparisons += counters.feature_comparisons;
-      total.scenarios_processed += counters.scenarios_processed;
-      total.exact_feature_rows += counters.exact_feature_rows;
-      total.quantized_full_scans += counters.quantized_full_scans;
-      total.index_probes += counters.index_probes;
-      total.index_fallbacks += counters.index_fallbacks;
-      total.comparisons_avoided += counters.comparisons_avoided;
+      MergeFilterCounters(counters, total);
       return mapreduce::AttemptStatus::kSuccess;
     });
   }
   engine_->RunTasks("ev-filter", "filter", tasks);
-  comparisons.Add(total.feature_comparisons);
-  processed.Add(total.scenarios_processed);
-  exact_rows.Add(total.exact_feature_rows);
-  full_scans.Add(total.quantized_full_scans);
-  index_probes.Add(total.index_probes);
-  index_fallbacks.Add(total.index_fallbacks);
-  avoided.Add(total.comparisons_avoided);
+  PublishFilterCounters(total, reg);
 }
 
 MatchReport EvMatcher::Match(const std::vector<Eid>& targets) {
-  EnsureIndexTrained();
   return RunMatchPass(
       targets, config_.refine, config_.split.seed,
       [this](const std::vector<Eid>& subset, std::uint64_t seed) {

@@ -25,7 +25,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "vsense/gallery.hpp"
-#include "vsense/index/vindex.hpp"
 #include "vsense/v_scenario.hpp"
 #include "vsense/visual_oracle.hpp"
 
@@ -43,14 +42,6 @@ struct MatcherConfig {
   ExecutionMode execution{ExecutionMode::kSequential};
   /// Engine options for ExecutionMode::kMapReduce.
   mapreduce::EngineOptions engine{};
-  /// Enables the vindex ANN shortlist for the V stage: the codebook is
-  /// trained lazily on the first Match call (over all V-scenario blocks;
-  /// through the MapReduce engine under kMapReduce) and every block scan is
-  /// then shortlisted with the exactness certificate of DESIGN.md §14.
-  /// Results are bit-identical with or without the index.
-  bool enable_index{false};
-  /// Shortlist tuning knobs (used when enable_index is set).
-  vindex::VIndexConfig index{};
   /// Registry the pipeline counters accumulate into; null = a matcher-owned
   /// registry (MatchStats works either way). One run at a time per registry:
   /// concurrent Match calls sharing a registry would interleave their deltas.
@@ -90,18 +81,7 @@ class EvMatcher {
     return config_.metrics != nullptr ? *config_.metrics : own_metrics_;
   }
 
-  /// The vindex shortlist (null unless enable_index; untrained until the
-  /// first Match call).
-  [[nodiscard]] const vindex::VIndex* index() const noexcept {
-    return index_.get();
-  }
-
  private:
-  /// Trains the index codebook over every V-scenario block on the first
-  /// Match call (no-op when disabled or already trained).
-  void EnsureIndexTrained();
-  /// config_.filter with the trained index attached.
-  [[nodiscard]] VidFilterOptions FilterOptions() const;
   [[nodiscard]] SplitOutcome RunSplit(const std::vector<Eid>& targets,
                                       std::uint64_t seed);
   void RunFilter(const std::vector<EidScenarioList>& lists,
@@ -113,7 +93,6 @@ class EvMatcher {
   std::vector<Eid> universe_;
   obs::MetricsRegistry own_metrics_;  // used when config_.metrics is null
   FeatureGallery gallery_;
-  std::unique_ptr<vindex::VIndex> index_;  // enable_index only
   std::unique_ptr<mapreduce::MapReduceEngine> engine_;  // kMapReduce only
 };
 

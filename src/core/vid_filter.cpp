@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/flat_map.hpp"
 #include "vsense/feature_block.hpp"
-#include "vsense/index/vindex.hpp"
 
 namespace evm {
 
@@ -80,23 +79,9 @@ MatchResult FilterVid(const EidScenarioList& list,
     }
   }
 
-  // Every block scan goes through this: the vindex shortlist when enabled
-  // and the block is covered, the plain scan otherwise. Both return the
-  // bit-identical BlockMatch (DESIGN.md §14), so enabling the index can
-  // never change a MatchResult — only the execution-path stats.
+  // How the block scans below ran (quantized shortlist vs exact rows),
+  // folded into the counters once all scans are done.
   BlockScanStats scan_stats;
-  vindex::IndexScanStats index_stats;
-  const auto scan_block = [&](const PaddedProbe& probe,
-                              const Entry& entry) -> BlockMatch {
-    if (options.index != nullptr) {
-      BlockMatch out;
-      if (options.index->Scan(entry.scenario->id.value(), *entry.block, probe,
-                              &scan_stats, &index_stats, &out)) {
-        return out;
-      }
-    }
-    return BestInBlock(probe, *entry.block, &scan_stats);
-  };
 
   // Candidate score: the plain probability product of Sec. IV-B2. Every
   // factor matters — set splitting deliberately includes scenarios whose
@@ -109,7 +94,7 @@ MatchResult FilterVid(const EidScenarioList& list,
                             candidates[c].block->RowMass(candidates[c].row));
     double prob = 1.0;
     for (const std::size_t e : score_order) {
-      prob *= scan_block(probe, entries[e]).similarity;
+      prob *= BestInBlock(probe, *entries[e].block, &scan_stats).similarity;
       counters.feature_comparisons += entries[e].block->rows();
       // The product only ever shrinks, so a candidate already below the
       // incumbent can be abandoned — same argmax, far fewer comparisons.
@@ -132,7 +117,7 @@ MatchResult FilterVid(const EidScenarioList& list,
   for (int pass = 0; pass < 2; ++pass) {
     const PaddedProbe probe(probe_vec, stride);
     for (std::size_t i = 0; i < entries.size(); ++i) {
-      nominated[i] = scan_block(probe, entries[i]).index;
+      nominated[i] = BestInBlock(probe, *entries[i].block, &scan_stats).index;
       counters.feature_comparisons += entries[i].block->rows();
     }
     if (pass == 1) break;
@@ -153,9 +138,6 @@ MatchResult FilterVid(const EidScenarioList& list,
   // All feature scans are done; fold the execution-path stats once.
   counters.exact_feature_rows += scan_stats.exact_rows;
   counters.quantized_full_scans += scan_stats.full_scan_fallbacks;
-  counters.index_probes += index_stats.probes;
-  counters.index_fallbacks += index_stats.fallbacks;
-  counters.comparisons_avoided += index_stats.avoided;
 
   common::FlatMap<std::uint64_t, std::size_t> votes;
   for (std::size_t i = 0; i < entries.size(); ++i) {

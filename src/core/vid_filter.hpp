@@ -21,10 +21,6 @@
 
 namespace evm {
 
-namespace vindex {
-class VIndex;
-}  // namespace vindex
-
 /// Counters accumulated across FilterVid calls.
 struct VidFilterCounters {
   /// Feature rows *visited* by scoring/nomination scans — the paper's cost
@@ -39,14 +35,6 @@ struct VidFilterCounters {
   /// Quantized scans whose error bound could not exclude any row (the
   /// shortlist degenerated to a full exact scan).
   std::uint64_t quantized_full_scans{0};
-  /// Block scans served by the vindex shortlist (options.index non-null and
-  /// the block was covered).
-  std::uint64_t index_probes{0};
-  /// Index probes whose certificate excluded nothing — counted fallbacks to
-  /// the plain scan.
-  std::uint64_t index_fallbacks{0};
-  /// Feature rows the index certificate excluded from exact re-ranking.
-  std::uint64_t comparisons_avoided{0};
 };
 
 /// Where the candidate pool for the probability product is drawn from.
@@ -63,11 +51,6 @@ enum class CandidatePool {
 
 struct VidFilterOptions {
   CandidatePool candidate_pool{CandidatePool::kAllScenarios};
-  /// Optional trained vindex shortlist. When set, every block scan is first
-  /// offered to the index; blocks it does not cover (untrained, too small,
-  /// stride mismatch) fall through to the plain scan. Results are
-  /// bit-identical either way (DESIGN.md §14).
-  vindex::VIndex* index{nullptr};
 };
 
 /// Runs VID filtering for one EID's scenario list. `gallery` provides (and

@@ -52,6 +52,33 @@ Bytes DistEngine::CallOwner(const std::string& name, Method method,
   return CallWorker(owner_out, method, payload);
 }
 
+void DistEngine::WriteThrough(const std::string& name, Method method,
+                              const Bytes& payload,
+                              const std::function<void()>& update_replica) {
+  WorkerId owner = 0;
+  {
+    // One shared hold covers the replica change and its delivery. A
+    // reconcile pass (exclusive) therefore runs either before both — and
+    // the delivery reaches the post-change owner — or after both, pushing
+    // the replica that already holds the change. A reconcile between the
+    // two would push the change and the delivery would then apply it a
+    // second time.
+    common::ReaderMutexLock lock(route_mutex_);
+    update_replica();
+    owner = shard_map_.OwnerOf(name);
+    try {
+      (void)CallWorker(owner, method, payload);
+      return;
+    } catch (const RpcError&) {
+      // Fall through: recovery takes the route lock exclusively.
+    }
+  }
+  // The owner died. No redelivery after recovery: the reconcile pass pushes
+  // the whole dataset from the replica, which already holds this change —
+  // delivering it again would duplicate an append.
+  OnWorkerFailure(owner);
+}
+
 // --- DFS facade -----------------------------------------------------------
 
 void DistEngine::Write(const std::string& name,
@@ -59,29 +86,15 @@ void DistEngine::Write(const std::string& name,
   const Bytes encoded =
       EncodeValue<std::pair<std::string, std::vector<Block>>>(
           {name, blocks});
-  replica_.Write(name, std::move(blocks));
-  WorkerId owner = 0;
-  try {
-    (void)CallOwner(name, Method::kDfsWrite, encoded, owner);
-  } catch (const RpcError&) {
-    // The owner died; recovery re-pushes this dataset from the replica.
-    OnWorkerFailure(owner);
-  }
+  WriteThrough(name, Method::kDfsWrite, encoded,
+               [&] { replica_.Write(name, std::move(blocks)); });
 }
 
 void DistEngine::Append(const std::string& name, Block block) {
   const Bytes encoded =
       EncodeValue<std::pair<std::string, Block>>({name, block});
-  replica_.Append(name, std::move(block));
-  WorkerId owner = 0;
-  try {
-    (void)CallOwner(name, Method::kDfsAppend, encoded, owner);
-  } catch (const RpcError&) {
-    // No re-append after recovery: the reconcile pass pushes the whole
-    // dataset from the replica, which already holds this block — a second
-    // append here would duplicate it.
-    OnWorkerFailure(owner);
-  }
+  WriteThrough(name, Method::kDfsAppend, encoded,
+               [&] { replica_.Append(name, std::move(block)); });
 }
 
 std::optional<std::vector<Block>> DistEngine::Read(const std::string& name) {
@@ -99,14 +112,9 @@ std::optional<std::vector<Block>> DistEngine::Read(const std::string& name) {
 }
 
 bool DistEngine::Remove(const std::string& name) {
-  const bool existed = replica_.Remove(name);
-  WorkerId owner = 0;
-  try {
-    (void)CallOwner(name, Method::kDfsRemove,
-                    EncodeValue<std::string>(name), owner);
-  } catch (const RpcError&) {
-    OnWorkerFailure(owner);  // reconcile clears the shard copy
-  }
+  bool existed = false;
+  WriteThrough(name, Method::kDfsRemove, EncodeValue<std::string>(name),
+               [&] { existed = replica_.Remove(name); });
   return existed;
 }
 

@@ -29,15 +29,17 @@
 // via ClaimCommit, output bytes are independent of the failure schedule.
 //
 // Locking: route_mutex_ is a reader/writer route lock. Routing a request
-// (owner lookup + the RPC itself) holds it shared; membership changes +
-// reconciliation hold it exclusive. An append therefore either completes
-// against the pre-change owner (and the reconcile re-pushes it from the
-// replica) or routes against the post-change map — records are never lost
-// mid-rebalance. Order: DistEngine::route_mutex_ before Cluster::mutex_
-// before the RpcChannel leaf (tools/tidy/lock_hierarchy.txt).
+// (the replica change of a write, owner lookup and the RPC itself) holds it
+// shared; membership changes + reconciliation hold it exclusive. An append
+// therefore either completes entirely before a change (and the reconcile
+// re-pushes it from the replica) or entirely after it, against the
+// post-change map — records are never lost or applied twice mid-rebalance.
+// Order: DistEngine::route_mutex_ before Cluster::mutex_ before the
+// RpcChannel leaf (tools/tidy/lock_hierarchy.txt).
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -161,6 +163,13 @@ class DistEngine {
   Bytes CallWorker(WorkerId id, Method method, const Bytes& payload);
   Bytes CallOwner(const std::string& name, Method method, const Bytes& payload,
                   WorkerId& owner_out) EVM_EXCLUDES(route_mutex_);
+  /// Applies `update_replica` and delivers `payload` to the dataset's owner
+  /// under one shared route hold; an owner that fails the RPC is declared
+  /// dead after the hold is released.
+  void WriteThrough(const std::string& name, Method method,
+                    const Bytes& payload,
+                    const std::function<void()>& update_replica)
+      EVM_EXCLUDES(route_mutex_);
 
   /// Declares `dead` dead: drops it from the ring, reaps it, optionally
   /// spawns a replacement, reconciles every dataset. Idempotent.

@@ -32,9 +32,7 @@ struct DistMatchConfig {
   /// The dataset every worker regenerates. Must match the driver's.
   DatasetConfig dataset{};
   SplitConfig split{};
-  /// Candidate pool policy, shipped to workers. (The vindex shortlist is
-  /// driver-local state and does not cross the boundary; results are
-  /// bit-identical without it.)
+  /// Candidate pool policy, shipped to workers.
   CandidatePool candidate_pool{CandidatePool::kAllScenarios};
   RefineConfig refine{};
 };

@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -106,17 +107,20 @@ std::optional<Frame> RpcChannel::RecvFrame(std::chrono::milliseconds timeout) {
     return std::nullopt;
   }
   const std::uint32_t length = DecodeU32(header);
-  // A frame larger than this is a corrupted length prefix, not a payload:
-  // the biggest legitimate payloads (dataset blocks) stay far below it.
-  constexpr std::uint32_t kMaxFrame = 1u << 30;
   if (length > kMaxFrame) {
     throw RpcError(RpcFailure::kProtocol, "frame length prefix out of range");
   }
   Frame frame;
   frame.code = header[4];
-  frame.payload.resize(length);
-  if (length > 0) {
-    RecvAll(fd_, frame.payload.data(), length, /*at_boundary=*/false,
+  // The payload grows by at most kReadStep ahead of the bytes actually
+  // received, so a corrupt length prefix followed by a hang-up costs one
+  // step, not a zero-filled buffer of the declared size.
+  constexpr std::size_t kReadStep = std::size_t{1} << 20;
+  while (frame.payload.size() < length) {
+    const std::size_t offset = frame.payload.size();
+    const std::size_t step = std::min<std::size_t>(kReadStep, length - offset);
+    frame.payload.resize(offset + step);
+    RecvAll(fd_, frame.payload.data() + offset, step, /*at_boundary=*/false,
             deadline);
   }
   return frame;

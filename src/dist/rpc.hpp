@@ -34,6 +34,11 @@ namespace evm::dist {
 
 using Bytes = std::vector<unsigned char>;
 
+/// Largest payload length a frame header may declare. A longer one is a
+/// corrupted length prefix, not a payload: the biggest legitimate payloads
+/// (dataset blocks) stay far below it.
+inline constexpr std::uint32_t kMaxFrame = 1u << 30;
+
 /// Request codes understood by a worker's serve loop (worker.cpp).
 enum class Method : std::uint8_t {
   kPing = 0,       ///< liveness probe; echoes the payload

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/match_counters.hpp"
 #include "stream/counters.hpp"
 
 namespace evm::stream {
@@ -21,9 +20,6 @@ IncrementalMatcher::IncrementalMatcher(const WindowedScenarioStore& store,
       pool_(pool),
       scheduler_(scheduler),
       gallery_(oracle, &metrics, trace) {
-  if (config_.enable_index) {
-    index_ = std::make_unique<vindex::VIndex>(config_.index);
-  }
   std::sort(config_.targets.begin(), config_.targets.end());
   config_.targets.erase(
       std::unique(config_.targets.begin(), config_.targets.end()),
@@ -34,48 +30,19 @@ const std::vector<Eid>& IncrementalMatcher::CurrentTargets() const {
   return config_.targets.empty() ? store_.universe() : config_.targets;
 }
 
-void IncrementalMatcher::MaintainIndex(const SealResult& sealed) {
-  if (index_ == nullptr) return;
-  // Retention expiry: drop the postings and cached features of every
-  // scenario slot of the expired windows (same id enumeration the store
-  // uses when it removes the V side). Window indices never recur, so a
-  // later rebuild of the same id is impossible — no stale aliasing.
+std::size_t IncrementalMatcher::OnSealed(const SealResult& sealed,
+                                         bool e_only) {
+  // Retention expiry drops the cached features of every scenario slot of
+  // the expired windows, on every seal step — even ones that dirty no
+  // tracked target — so expired features never outlive their scenarios.
+  // Same id enumeration the store uses when it removes the V side; window
+  // indices never recur, so a later rebuild of the same id is impossible.
   const std::size_t cells = store_.grid().CellCount();
   for (const std::size_t window : sealed.expired_windows) {
     for (std::size_t c = 0; c < cells; ++c) {
-      const ScenarioId id = store_.e_scenarios().IdFor(window, CellId{c});
-      index_->Remove(id.value());
-      gallery_.Evict(id.value());
+      gallery_.Evict(store_.e_scenarios().IdFor(window, CellId{c}).value());
     }
   }
-  if (index_->trained()) return;
-  // Train once the gallery holds enough rows. Only already-cached blocks
-  // participate (no forced extractions): what the codebook sees depends on
-  // seal batching, but results never do — the index is exactness-preserving
-  // for ANY codebook, so drained output stays byte-identical to batch.
-  std::vector<const FeatureBlock*> blocks;
-  std::size_t rows = 0;
-  gallery_.ForEachReadyBlock([&](std::uint64_t, const FeatureBlock& block) {
-    blocks.push_back(&block);
-    rows += block.rows();
-  });
-  if (rows < config_.index.train_min_rows) return;
-  obs::StageSpan span(trace_, "vindex.build",
-                      metrics_.latency(kLatIndexBuild));
-  index_->Train(blocks);
-}
-
-VidFilterOptions IncrementalMatcher::FilterOptions() const {
-  VidFilterOptions options = config_.filter;
-  if (index_ != nullptr && index_->trained()) options.index = index_.get();
-  return options;
-}
-
-std::size_t IncrementalMatcher::OnSealed(const SealResult& sealed,
-                                         bool e_only) {
-  // Index maintenance runs on every seal step — even ones that dirty no
-  // tracked target — so expired postings never outlive their scenarios.
-  MaintainIndex(sealed);
   if (sealed.changed_eids.empty() && (e_only || e_only_pending_.empty())) {
     return 0;
   }
@@ -155,13 +122,12 @@ std::size_t IncrementalMatcher::OnSealed(const SealResult& sealed,
   if (changed.empty()) return 0;
 
   std::vector<MatchResult> results;
-  const VidFilterOptions options = FilterOptions();
   if (scheduler_ != nullptr) {
     RunFilterStageScheduled(changed, store_.v_scenarios(), gallery_,
-                            options, results, metrics_, trace_,
+                            config_.filter, results, metrics_, trace_,
                             *scheduler_);
   } else {
-    RunFilterStage(changed, store_.v_scenarios(), gallery_, options,
+    RunFilterStage(changed, store_.v_scenarios(), gallery_, config_.filter,
                    results, metrics_, trace_, pool_);
   }
   {
@@ -185,7 +151,7 @@ MatchReport IncrementalMatcher::Drain() {
       },
       [this](const std::vector<EidScenarioList>& lists,
              std::vector<MatchResult>& results) {
-        RunFilterStage(lists, store_.v_scenarios(), gallery_, FilterOptions(),
+        RunFilterStage(lists, store_.v_scenarios(), gallery_, config_.filter,
                        results, metrics_, trace_, pool_);
       },
       metrics_, trace_);

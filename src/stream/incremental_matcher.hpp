@@ -30,7 +30,6 @@
 // the gallery is already warm from the live path, so this pass is cheap.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -47,7 +46,6 @@
 #include "obs/trace.hpp"
 #include "stream/windowed_store.hpp"
 #include "vsense/gallery.hpp"
-#include "vsense/index/vindex.hpp"
 #include "vsense/visual_oracle.hpp"
 
 namespace evm::stream {
@@ -58,13 +56,6 @@ struct IncrementalMatcherConfig {
   RefineConfig refine{};
   /// EIDs to keep matched; empty = universal (every EID the store has seen).
   std::vector<Eid> targets{};
-  /// Enables the vindex ANN shortlist. The codebook trains itself once the
-  /// gallery holds index.train_min_rows cached feature rows; sealed windows
-  /// then get per-block postings lazily on first probe, and retention expiry
-  /// evicts both the gallery features and the postings of every scenario of
-  /// the expired windows. Results are bit-identical with or without it.
-  bool enable_index{false};
-  vindex::VIndexConfig index{};
 };
 
 class IncrementalMatcher {
@@ -106,11 +97,6 @@ class IncrementalMatcher {
 
   [[nodiscard]] FeatureGallery& gallery() noexcept { return gallery_; }
 
-  /// The vindex shortlist (null unless config.enable_index).
-  [[nodiscard]] const vindex::VIndex* index() const noexcept {
-    return index_.get();
-  }
-
   /// Targets currently carrying an E-only result that still awaits its
   /// post-recovery V-stage refresh.
   [[nodiscard]] std::size_t e_only_pending_count() const noexcept {
@@ -121,11 +107,6 @@ class IncrementalMatcher {
   /// The targets this matcher tracks right now (configured list, or the
   /// store universe under universal matching).
   [[nodiscard]] const std::vector<Eid>& CurrentTargets() const;
-  /// Index lifecycle on a seal step: evict expired windows' postings +
-  /// gallery features, then train the codebook once enough rows are cached.
-  void MaintainIndex(const SealResult& sealed);
-  /// config_.filter with the trained index attached.
-  [[nodiscard]] VidFilterOptions FilterOptions() const;
 
   const WindowedScenarioStore& store_;
   IncrementalMatcherConfig config_;
@@ -134,7 +115,6 @@ class IncrementalMatcher {
   ThreadPool* pool_;
   mapreduce::TaskScheduler* scheduler_;
   FeatureGallery gallery_;
-  std::unique_ptr<vindex::VIndex> index_;  // enable_index only
 
   // eid -> last selected scenario list *that went through the V stage*.
   // E-only passes deliberately do not update it, so recovery re-filters.

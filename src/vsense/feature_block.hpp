@@ -110,52 +110,6 @@ struct BlockScanStats {
   std::uint64_t full_scan_fallbacks{0};  // scans whose bound excluded nothing
 };
 
-/// Shared arithmetic of the exact scan, the quantized shortlist and the
-/// vindex certificate (DESIGN.md §12/§14). These must stay bit-identical
-/// across every path that claims equivalence with the exhaustive scan, so
-/// they live here once instead of being duplicated per caller.
-namespace block_math {
-
-/// Plain-sum L1 mass, accumulated in the same order as the scalar
-/// FeatureDistance so precomputed masses match its float rounding.
-inline float MassOf(const float* data, std::size_t n) {
-  float mass = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) mass += data[i];
-  return mass;
-}
-
-/// Eq. (1) similarity from an L1 distance and the operands' masses —
-/// identical arithmetic to the scalar FeatureDistance tail.
-inline double SimilarityFromL1(float l1, float mass_a, float mass_b) {
-  const double max_l1 = std::max(
-      {static_cast<double>(mass_a) + static_cast<double>(mass_b), 2.0});
-  return 1.0 - std::clamp(static_cast<double>(l1) / max_l1, 0.0, 1.0);
-}
-
-/// Bound on |PaddedL1's float result - real-valued L1|. Each of the 8 lanes
-/// performs stride/8 adds plus the 7-op reduction; every intermediate is
-/// bounded by the real L1 <= mass_a + mass_b, and each float op contributes
-/// at most one ulp (2^-23 relative). The +2.0 keeps the bound positive for
-/// all-zero masses and absorbs the subtraction/fabs rounding per term.
-inline double FloatScanSlack(std::size_t stride, double mass_sum) {
-  return (static_cast<double>(stride) / 8.0 + 8.0) * 0x1p-23 *
-             (mass_sum + 2.0) +
-         1e-12;
-}
-
-/// Folds one exactly-computed row distance into the running best
-/// (first-row-wins: strictly greater replaces).
-inline void FoldRow(BlockMatch& best, std::size_t r, float l1, float mass_p,
-                    float mass_r) {
-  const double sim = SimilarityFromL1(l1, mass_p, mass_r);
-  if (sim > best.similarity) {
-    best.index = static_cast<int>(r);
-    best.similarity = sim;
-  }
-}
-
-}  // namespace block_math
-
 /// Fused best-match scan: index and similarity of the row most similar to
 /// the probe (Eq. 1 semantics, first row wins ties). The probe must be
 /// padded to the block's stride. Large blocks take the quantized SAD

@@ -64,28 +64,6 @@ void FeatureGallery::Clear() {
   hits_.store(0, std::memory_order_relaxed);
 }
 
-void FeatureGallery::ForEachReadyBlock(
-    const std::function<void(std::uint64_t, const FeatureBlock&)>& fn) const {
-  // Same snapshot idiom as ExportTo: collect completed entries under the
-  // shard locks, then visit in global scenario-id order so callers see a
-  // deterministic sequence regardless of shard iteration order.
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<Entry>>> snapshot;
-  for (const Shard& shard : shards_) {
-    common::MutexLock lock(shard.mutex);
-    shard.cache.ForEachSorted(
-        [&](std::uint64_t scenario_id, const std::shared_ptr<Entry>& entry) {
-          if (entry->ready.load(std::memory_order_acquire)) {
-            snapshot.emplace_back(scenario_id, entry);
-          }
-        });
-  }
-  std::sort(snapshot.begin(), snapshot.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [scenario_id, entry] : snapshot) {
-    fn(scenario_id, entry->block);
-  }
-}
-
 void FeatureGallery::Evict(std::uint64_t scenario_id) {
   Shard& shard = shards_[ShardOf(scenario_id)];
   common::MutexLock lock(shard.mutex);

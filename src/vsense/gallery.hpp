@@ -18,7 +18,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -79,14 +78,6 @@ class FeatureGallery {
   }
 
   void Clear();
-
-  /// Visits every fully extracted cached block in ascending scenario-id
-  /// order (entries still being extracted are skipped). Used by the
-  /// streaming vindex trainer to gather its training set without forcing
-  /// any new extractions. The visited references stay valid until Clear()
-  /// or Evict() of that scenario.
-  void ForEachReadyBlock(
-      const std::function<void(std::uint64_t, const FeatureBlock&)>& fn) const;
 
   /// Drops one scenario's cached features/block (streaming retention
   /// expiry). Callers must not hold references returned for that scenario.

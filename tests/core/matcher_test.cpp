@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hpp"
 #include "dataset/generator.hpp"
+#include "mapreduce/scheduler.hpp"
 #include "metrics/accuracy.hpp"
 #include "metrics/experiment.hpp"
 
@@ -219,6 +221,54 @@ TEST(MatcherTest, KernelScanCountersRegisterInBothExecutionModes) {
             serial_rows);
   EXPECT_EQ(mapreduce.metrics().CounterValue(kCtrQuantizedFullScans),
             serial.metrics().CounterValue(kCtrQuantizedFullScans));
+}
+
+TEST(MatcherTest, ScheduledFilterStageMatchesSequentialFilterStage) {
+  // The stream driver's live V stage runs as scheduler tasks; the drain and
+  // the sequential batch run it in a plain loop. Over the same lists both
+  // must produce the same results and publish the same counters.
+  const Dataset dataset = GenerateDataset(EasyConfig(21));
+  const auto targets = SampleTargets(dataset, 30, 5);
+  obs::MetricsRegistry split_metrics;
+  const SplitOutcome outcome =
+      RunSplitStage(dataset.e_scenarios, SplitConfig{},
+                    CollectUniverse(dataset.e_scenarios), targets,
+                    split_metrics, nullptr);
+
+  obs::MetricsRegistry sequential_metrics;
+  FeatureGallery sequential_gallery(dataset.oracle);
+  std::vector<MatchResult> sequential;
+  RunFilterStage(outcome.lists, dataset.v_scenarios, sequential_gallery, {},
+                 sequential, sequential_metrics, nullptr);
+
+  obs::MetricsRegistry scheduled_metrics;
+  FeatureGallery scheduled_gallery(dataset.oracle);
+  std::vector<MatchResult> scheduled;
+  ThreadPool pool(4);
+  mapreduce::TaskScheduler scheduler(pool, {});
+  RunFilterStageScheduled(outcome.lists, dataset.v_scenarios,
+                          scheduled_gallery, {}, scheduled, scheduled_metrics,
+                          nullptr, scheduler);
+
+  ASSERT_EQ(scheduled.size(), sequential.size());
+  for (std::size_t i = 0; i < sequential.size(); ++i) {
+    EXPECT_EQ(scheduled[i].eid, sequential[i].eid);
+    EXPECT_EQ(scheduled[i].chosen_per_scenario,
+              sequential[i].chosen_per_scenario);
+    EXPECT_EQ(scheduled[i].reported_vid, sequential[i].reported_vid);
+    EXPECT_EQ(scheduled[i].confidence, sequential[i].confidence);
+    EXPECT_EQ(scheduled[i].majority_fraction,
+              sequential[i].majority_fraction);
+    EXPECT_EQ(scheduled[i].resolved, sequential[i].resolved);
+  }
+  for (const char* name :
+       {kCtrFeatureComparisons, kCtrScenariosProcessed, kCtrExactFeatureRows,
+        kCtrQuantizedFullScans}) {
+    EXPECT_EQ(scheduled_metrics.CounterValue(name),
+              sequential_metrics.CounterValue(name))
+        << name;
+  }
+  EXPECT_GT(sequential_metrics.CounterValue(kCtrExactFeatureRows), 0u);
 }
 
 TEST(MatcherTest, StatsTimersArePopulated) {

@@ -1,5 +1,6 @@
 #include "dist/rpc.hpp"
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -28,6 +29,13 @@ struct ChannelPair {
   std::unique_ptr<RpcChannel> client;
   std::unique_ptr<RpcChannel> server;
 };
+
+/// Peak resident set size of this process, in KiB.
+long MaxRssKb() {
+  struct rusage usage{};
+  EXPECT_EQ(::getrusage(RUSAGE_SELF, &usage), 0);
+  return usage.ru_maxrss;
+}
 
 TEST(RpcTest, RoundTripPreservesCodeAndPayload) {
   ChannelPair pair;
@@ -113,6 +121,27 @@ TEST(RpcTest, OversizedLengthPrefixIsProtocolError) {
   } catch (const RpcError& e) {
     EXPECT_EQ(e.failure(), RpcFailure::kProtocol);
   }
+}
+
+TEST(RpcTest, TruncatedHugeFrameAllocatesOnlyWhatArrived) {
+  ChannelPair pair;
+  // A header declaring the largest legal payload, 16 payload bytes, then a
+  // hang-up: the reader must fail without zero-filling the declared size.
+  unsigned char frame[5 + 16] = {};
+  for (int i = 0; i < 4; ++i) {
+    frame[i] = static_cast<unsigned char>(kMaxFrame >> (8 * i));
+  }
+  ASSERT_EQ(::send(pair.client->fd(), frame, sizeof(frame), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(frame)));
+  pair.client.reset();
+  const long rss_before_kb = MaxRssKb();
+  try {
+    (void)pair.server->RecvRequest();
+    FAIL() << "expected RpcError";
+  } catch (const RpcError& e) {
+    EXPECT_EQ(e.failure(), RpcFailure::kClosed);
+  }
+  EXPECT_LT(MaxRssKb() - rss_before_kb, 64L * 1024);
 }
 
 TEST(RpcTest, TryCallGivesUpWhileAnotherCallIsInFlight) {

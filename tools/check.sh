@@ -55,7 +55,7 @@ step "bench compare: self-test" "$PYTHON" tools/bench_compare.py --self-test
 # --allow-new tolerates a baseline that is being introduced in the current
 # change (bench_compare validates the fresh output and passes); committed
 # baselines are compared as usual.
-for bench_json in BENCH_core_ops.json BENCH_stream.json BENCH_ann.json \
+for bench_json in BENCH_core_ops.json BENCH_stream.json \
                   BENCH_distributed.json; do
   if [ -f "$BUILD_DIR/$bench_json" ]; then
     step "bench compare: $bench_json" "$PYTHON" tools/bench_compare.py \

@@ -60,7 +60,7 @@ implementations to each other.
                      static parity audit. Suppress with `// det-ok:`.
                      [deprecated-by: evm-counter-parity]
   counter-manifest   a metric name in an audited namespace (mr.*, match.*,
-                     stream.*, stage.*, gallery.*, vindex.*) missing from
+                     stream.*, stage.*, gallery.*) missing from
                      tools/tidy/counters.txt — or a manifest entry no code
                      references (stale vocabulary).
                      [deprecated-by: evm-counter-parity]
@@ -121,12 +121,6 @@ MIGRATED_FILES = (
     "src/stream/windowed_store.hpp",
     "src/vsense/gallery.cpp",
     "src/vsense/gallery.hpp",
-    "src/vsense/index/block_index.cpp",
-    "src/vsense/index/block_index.hpp",
-    "src/vsense/index/codebook.cpp",
-    "src/vsense/index/codebook.hpp",
-    "src/vsense/index/vindex.cpp",
-    "src/vsense/index/vindex.hpp",
     "src/vsense/v_scenario.cpp",
     "src/vsense/v_scenario.hpp",
 )
@@ -139,8 +133,7 @@ SERIAL_FILES = ("src/core/match_stages.cpp",)
 MAPREDUCE_FILES = ("src/core/matcher.cpp", "src/core/parallel_split.cpp")
 STREAM_DIRS = ("src/stream",)
 ENGINE_DIRS = ("src/mapreduce",)
-AUDITED_PREFIXES = ("mr.", "match.", "stream.", "stage.", "gallery.",
-                    "vindex.")
+AUDITED_PREFIXES = ("mr.", "match.", "stream.", "stage.", "gallery.")
 # The registry implementation forwards parameters, not literals.
 COUNTER_EXEMPT_DIRS = ("src/obs",)
 

@@ -28,7 +28,7 @@ constexpr char kDefaultMapReduceFiles[] =
 constexpr char kDefaultStreamDirs[] = "src/stream";
 constexpr char kDefaultEngineDirs[] = "src/mapreduce";
 constexpr char kDefaultAuditedPrefixes[] =
-    "mr.;match.;stream.;stage.;gallery.;vindex.";
+    "mr.;match.;stream.;stage.;gallery.";
 
 std::string jsonEscape(llvm::StringRef S) {
   std::string Out;
