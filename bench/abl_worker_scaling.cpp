@@ -1,8 +1,10 @@
-// Ablation — MapReduce worker scaling.
+// Ablation — engine worker scaling.
 //
 // The paper parallelizes on a 14-node Spark cluster; our engine scales with
 // worker threads. This bench sweeps the worker count for the full pipeline
-// (parallel set splitting + parallel VID filtering) at 400 matched EIDs.
+// at 400 matched EIDs. Only the V stage (one filter task per EID) runs on
+// the engine; set splitting is sequential (DESIGN.md §17), so the E column
+// does not scale.
 
 #include <iostream>
 #include <string>

@@ -302,7 +302,7 @@ class JsonCapturingReporter : public benchmark::ConsoleReporter {
 namespace evm {
 namespace {
 
-// --trace mode: run one small end-to-end MapReduce-mode match with the obs
+// --trace mode: run one small end-to-end match with the obs
 // layer installed and dump counters + stage spans alongside the bench JSON.
 void RunTracedMatch(obs::TraceSession& trace) {
   DatasetConfig config;
@@ -311,7 +311,6 @@ void RunTracedMatch(obs::TraceSession& trace) {
   config.seed = 5;
   const Dataset dataset = GenerateDataset(config);
   MatcherConfig matcher_config = DefaultSsConfig();
-  matcher_config.execution = ExecutionMode::kMapReduce;
   matcher_config.metrics = trace.metrics();
   matcher_config.trace = trace.trace();
   EvMatcher matcher(dataset.e_scenarios, dataset.v_scenarios, dataset.oracle,

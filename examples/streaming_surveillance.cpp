@@ -9,8 +9,10 @@
 // over the same records — which this example verifies.
 //
 // Usage: streaming_surveillance [rate_records_per_sec] [--trace=FILE]
-//   rate 0 (default) replays as fast as backpressure admits.
+//   rate 0 (default) replays as fast as backpressure admits. Any other
+//   argument prints the usage and exits with status 2.
 
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -23,11 +25,26 @@
 #include "stream/replay.hpp"
 #include "stream/stream_driver.hpp"
 
+namespace {
+
+/// A whole-argument, finite, non-negative number.
+bool ParseRate(const char* arg, double& rate) {
+  char* end = nullptr;
+  rate = std::strtod(arg, &end);
+  return end != arg && *end == '\0' && std::isfinite(rate) && rate >= 0.0;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace evm;
   obs::TraceSession trace(obs::ExtractTraceFlag(argc, argv));
   double rate = 0.0;
-  for (int i = 1; i < argc; ++i) rate = std::atof(argv[i]);
+  if (argc > 2 || (argc == 2 && !ParseRate(argv[1], rate))) {
+    std::cerr << "usage: streaming_surveillance [rate_records_per_sec] "
+                 "[--trace=FILE]\n";
+    return 2;
+  }
 
   DatasetConfig config;
   config.population = 300;

@@ -5,9 +5,9 @@
 #include <unordered_set>
 
 #include "common/error.hpp"
-#include "common/mutex.hpp"
 #include "common/rng.hpp"
 #include "core/match_counters.hpp"
+#include "core/match_stages.hpp"
 
 namespace evm {
 
@@ -18,13 +18,8 @@ EdpMatcher::EdpMatcher(const EScenarioSet& e_scenarios,
       v_scenarios_(v_scenarios),
       config_(config),
       universe_(CollectUniverse(e_scenarios)),
-      gallery_(oracle, &metrics(), config_.trace) {
-  if (config_.execution == ExecutionMode::kMapReduce) {
-    if (config_.engine.metrics == nullptr) config_.engine.metrics = &metrics();
-    if (config_.engine.trace == nullptr) config_.engine.trace = config_.trace;
-    engine_ = std::make_unique<mapreduce::MapReduceEngine>(config_.engine);
-  }
-
+      gallery_(oracle, &metrics(), config_.trace),
+      engine_(MatcherEngineOptions(config_.engine, metrics(), config_.trace)) {
   std::unordered_map<std::uint64_t, std::uint32_t> uidx_of;
   for (std::uint32_t i = 0; i < universe_.size(); ++i) {
     uidx_of.emplace(universe_[i].value(), i);
@@ -41,7 +36,6 @@ EdpMatcher::EdpMatcher(const EScenarioSet& e_scenarios,
       presence_[it->second][window] = scenario.id;
     }
   }
-
 }
 
 EidScenarioList EdpMatcher::SelectScenariosFor(Eid eid) const {
@@ -121,7 +115,6 @@ MatchReport EdpMatcher::Match(const std::vector<Eid>& targets) {
   obs::MetricsRegistry& reg = metrics();
   obs::TraceRecorder* const trace = config_.trace;
   MatchReport report;
-  report.results.resize(targets.size());
   report.scenario_lists.resize(targets.size());
   const MatchCounterSnapshot before = SnapshotMatchCounters(reg);
   obs::StageSpan match_span(trace, "edp-match");
@@ -131,46 +124,18 @@ MatchReport EdpMatcher::Match(const std::vector<Eid>& targets) {
   {
     obs::StageSpan span(trace, "e-select", reg.latency(kLatEStage));
     obs::AmbientParentScope ambient(trace, span.id());
-    if (engine_ != nullptr) {
-      engine_->pool().ParallelFor(targets.size(), [&](std::size_t i) {
-        report.scenario_lists[i] = SelectScenariosFor(targets[i]);
-      });
-    } else {
-      for (std::size_t i = 0; i < targets.size(); ++i) {
-        report.scenario_lists[i] = SelectScenariosFor(targets[i]);
-      }
-    }
+    engine_.pool().ParallelFor(targets.size(), [&](std::size_t i) {
+      report.scenario_lists[i] = SelectScenariosFor(targets[i]);
+    });
   }
 
-  // V stage: the same VID filtering as EV-Matching; in MapReduce mode each
-  // "mapper" handles one EID matching task end to end. Either path funnels
-  // its VidFilterCounters into the shared registry, so sequential and
-  // MapReduce runs report identical counter sets.
-  {
-    obs::StageSpan span(trace, "v-filter", reg.latency(kLatVStage));
-    obs::AmbientParentScope ambient(trace, span.id());
-    const obs::Counter comparisons = reg.counter(kCtrFeatureComparisons);
-    const obs::Counter processed = reg.counter(kCtrScenariosProcessed);
-    VidFilterCounters total;
-    if (engine_ != nullptr) {
-      common::Mutex counters_mutex;
-      engine_->pool().ParallelFor(targets.size(), [&](std::size_t i) {
-        VidFilterCounters counters;
-        report.results[i] = FilterVid(report.scenario_lists[i], v_scenarios_,
-                                      gallery_, counters, {}, trace);
-        common::MutexLock lock(counters_mutex);
-        total.feature_comparisons += counters.feature_comparisons;
-        total.scenarios_processed += counters.scenarios_processed;
+  // V stage: the same VID filtering as EV-Matching, one engine task per EID
+  // matching task (the paper's one-mapper-per-EID adaptation).
+  RunFilterStageScheduled(
+      report.scenario_lists, v_scenarios_, gallery_, {}, report.results, reg,
+      trace, [this](const std::vector<mapreduce::TaskFn>& tasks) {
+        engine_.RunTasks("edp-filter", "filter", tasks);
       });
-    } else {
-      for (std::size_t i = 0; i < targets.size(); ++i) {
-        report.results[i] = FilterVid(report.scenario_lists[i], v_scenarios_,
-                                      gallery_, total, {}, trace);
-      }
-    }
-    comparisons.Add(total.feature_comparisons);
-    processed.Add(total.scenarios_processed);
-  }
 
   std::unordered_set<std::uint64_t> distinct;
   std::size_t total_length = 0;

@@ -12,12 +12,12 @@
 // this is exactly the inefficiency EV-Matching's set splitting removes.
 //
 // For fair comparison the paper adapts EDP to MapReduce by assigning each
-// mapper one EID matching task; ExecutionMode::kMapReduce does the same on
-// the thread-pool engine (a map-only job). The feature gallery is shared,
-// so reused scenarios are extracted once and "reused scenario is only
-// counted once" holds for both algorithms.
+// mapper one EID matching task; EdpMatcher does the same on its engine:
+// footprint selection fans out over the engine's pool, and the V stage runs
+// the shared per-EID filter tasks (RunFilterStageScheduled). The feature
+// gallery is shared, so reused scenarios are extracted once and "reused
+// scenario is only counted once" holds for both algorithms.
 
-#include <memory>
 #include <vector>
 
 #include "core/matcher.hpp"
@@ -37,7 +37,7 @@ struct EdpConfig {
   std::uint64_t seed{11};
   /// Safety cap on scenarios selected per EID.
   std::size_t max_scenarios_per_eid{64};
-  ExecutionMode execution{ExecutionMode::kSequential};
+  /// Same semantics as MatcherConfig::engine.
   mapreduce::EngineOptions engine{};
   /// Same semantics as MatcherConfig::metrics / ::trace.
   obs::MetricsRegistry* metrics{nullptr};
@@ -78,7 +78,7 @@ class EdpMatcher {
   std::vector<Eid> universe_;
   obs::MetricsRegistry own_metrics_;  // used when config_.metrics is null
   FeatureGallery gallery_;
-  std::unique_ptr<mapreduce::MapReduceEngine> engine_;
+  mapreduce::MapReduceEngine engine_;
   // presence_[uidx][window] = scenario the EID appears in (inclusively)
   // during that window, or invalid.
   std::vector<std::vector<ScenarioId>> presence_;

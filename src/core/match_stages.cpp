@@ -73,7 +73,7 @@ void RunFilterStageScheduled(const std::vector<EidScenarioList>& lists,
                              std::vector<MatchResult>& results,
                              obs::MetricsRegistry& metrics,
                              obs::TraceRecorder* trace,
-                             mapreduce::TaskScheduler& scheduler) {
+                             const TaskRunnerFn& run_tasks) {
   obs::StageSpan span(trace, "v-filter", metrics.latency(kLatVStage));
   obs::AmbientParentScope ambient(trace, span.id());
   results.resize(lists.size());
@@ -96,7 +96,7 @@ void RunFilterStageScheduled(const std::vector<EidScenarioList>& lists,
       return mapreduce::AttemptStatus::kSuccess;
     });
   }
-  scheduler.Run("stream-filter", "filter", tasks);
+  run_tasks(tasks);
   PublishFilterCounters(total, metrics);
 }
 

@@ -1,21 +1,24 @@
 #pragma once
-// The reusable stages of one matching pass, factored out of EvMatcher so the
-// batch matcher and the streaming IncrementalMatcher (src/stream) run the
-// exact same instrumented pipeline. Three layers:
+// The reusable stages of one matching pass, shared by the batch matchers
+// (EvMatcher, EdpMatcher) and the streaming IncrementalMatcher (src/stream)
+// so every caller runs the exact same instrumented pipeline. Three layers:
 //
 //  * RunSplitStage / RunFilterStage — one E-split / one V-filter over an
-//    explicit scenario store, with the span + counter instrumentation the
-//    batch matcher always had. The filter stage optionally fans out across a
-//    ThreadPool (per-EID FilterVid calls are independent; the shared gallery
-//    is single-flight, so parallel scheduling cannot change any result).
+//    explicit scenario store, with the span + counter instrumentation. The
+//    filter stage optionally fans out across a ThreadPool (per-EID FilterVid
+//    calls are independent; the shared gallery is single-flight, so parallel
+//    scheduling cannot change any result).
+//
+//  * RunFilterStageScheduled — the V stage as one retryable task per EID,
+//    handed to whatever runs tasks (a MapReduceEngine's RunTasks for the
+//    batch matchers, a TaskScheduler for the stream driver).
 //
 //  * RunMatchPass — the full skeleton of EvMatcher::Match: split, filter,
 //    the matching-refining loop (Algorithm 2) and the registry-delta
-//    statistics, parameterized over how the two stages execute (sequential,
-//    pooled, or MapReduce-backed via the hooks). Because the skeleton is
-//    shared, every execution mode counts and refines identically — which is
-//    what makes the stream driver's drain output byte-identical to a batch
-//    match over the same records.
+//    statistics, parameterized over how the two stages execute. Because the
+//    skeleton is shared, every caller counts and refines identically — which
+//    is what makes the stream driver's drain output byte-identical to a
+//    batch match over the same records.
 
 #include <cstdint>
 #include <functional>
@@ -25,7 +28,7 @@
 #include "core/set_splitting.hpp"
 #include "core/types.hpp"
 #include "core/vid_filter.hpp"
-#include "mapreduce/scheduler.hpp"
+#include "mapreduce/task.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "vsense/gallery.hpp"
@@ -45,9 +48,8 @@ struct RefineConfig {
 
 /// Runs sequential set splitting for `targets` over `scenarios`, recording
 /// the e-split span / stage.e latency and accumulating
-/// match.splitting_iterations — exactly what EvMatcher::RunSplit does in
-/// sequential mode. `config.seed` is used as given (callers perturb it per
-/// refine round).
+/// match.splitting_iterations. Every matcher splits through this.
+/// `config.seed` is used as given (callers perturb it per refine round).
 [[nodiscard]] SplitOutcome RunSplitStage(const EScenarioSet& scenarios,
                                          const SplitConfig& config,
                                          const std::vector<Eid>& universe,
@@ -75,12 +77,17 @@ void RunFilterStage(const std::vector<EidScenarioList>& lists,
                     obs::MetricsRegistry& metrics, obs::TraceRecorder* trace,
                     ThreadPool* pool = nullptr);
 
-/// RunFilterStage, but executed as one TaskScheduler task per EID instead of
-/// a plain ParallelFor — each FilterVid call becomes a retryable,
-/// speculation-eligible attempt whose result slot and counter contribution
-/// publish only on ClaimCommit(), so the scheduler's fault tolerance (and
-/// the stream driver's off-consumer-thread V stage) cannot change any
-/// result or count. Span/latency instrumentation matches RunFilterStage.
+/// Runs a V stage's per-EID tasks to completion, e.g. a TaskScheduler::Run
+/// or MapReduceEngine::RunTasks call bound to a job name.
+using TaskRunnerFn =
+    std::function<void(const std::vector<mapreduce::TaskFn>& tasks)>;
+
+/// RunFilterStage, but executed as one task per EID handed to `run_tasks`
+/// instead of a plain ParallelFor — each FilterVid call becomes a
+/// retryable, speculation-eligible attempt whose result slot and counter
+/// contribution publish only on ClaimCommit(), so the runner's fault
+/// tolerance cannot change any result or count. Span/latency
+/// instrumentation matches RunFilterStage.
 void RunFilterStageScheduled(const std::vector<EidScenarioList>& lists,
                              const VScenarioSet& v_scenarios,
                              FeatureGallery& gallery,
@@ -88,7 +95,7 @@ void RunFilterStageScheduled(const std::vector<EidScenarioList>& lists,
                              std::vector<MatchResult>& results,
                              obs::MetricsRegistry& metrics,
                              obs::TraceRecorder* trace,
-                             mapreduce::TaskScheduler& scheduler);
+                             const TaskRunnerFn& run_tasks);
 
 /// Stage execution hooks for RunMatchPass. The split hook receives the
 /// (sub)set of targets to split and the seed for this pass; the filter hook
@@ -101,8 +108,8 @@ using FilterStageFn =
 
 /// The full match pass: split + filter + matching refining + stats derived
 /// from the registry delta. This is EvMatcher::Match with the two stages
-/// abstracted; the stream drain calls it with sequential/pooled stages over
-/// the windowed store and obtains batch-identical reports.
+/// abstracted; the stream drain calls it with pooled stages over the
+/// windowed store and obtains batch-identical reports.
 [[nodiscard]] MatchReport RunMatchPass(const std::vector<Eid>& targets,
                                        const RefineConfig& refine,
                                        std::uint64_t base_seed,

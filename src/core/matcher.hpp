@@ -3,21 +3,21 @@
 //
 // Supports the paper's elastic matching sizes: MatchOne (a single suspect's
 // EID), Match (any subset) and MatchUniversal (label every EID in the
-// dataset). Execution is either sequential or parallel; the parallel mode
-// runs EID set splitting as the MapReduce workflow of Sec. V-B and fans the
-// V stage out across the engine's workers (feature extraction per scenario,
-// then per-EID comparison), per Sec. V-C.
+// dataset). EID set splitting runs sequentially (RunSplitStage): in one
+// process it is 2-12x faster than the paper's MapReduce formulation of
+// Sec. V-B (ParallelSetSplitter, DESIGN.md §17). The V stage fans out
+// across the matcher's MapReduceEngine as one fault-tolerant task per EID
+// (Sec. V-C); each task extracts the features it needs through the shared
+// gallery.
 //
 // The feature gallery persists across calls, so after a universal matching
 // run subsequent queries are answered almost entirely from cached features —
 // the "after universal labeling, future queries are more efficient"
 // behaviour the paper describes.
 
-#include <memory>
 #include <vector>
 
 #include "core/match_stages.hpp"
-#include "core/parallel_split.hpp"
 #include "core/set_splitting.hpp"
 #include "core/types.hpp"
 #include "core/vid_filter.hpp"
@@ -30,17 +30,12 @@
 
 namespace evm {
 
-enum class ExecutionMode {
-  kSequential,
-  kMapReduce,
-};
-
 struct MatcherConfig {
   SplitConfig split{};
   VidFilterOptions filter{};
   RefineConfig refine{};
-  ExecutionMode execution{ExecutionMode::kSequential};
-  /// Engine options for ExecutionMode::kMapReduce.
+  /// Options of the engine that runs the V stage's per-EID tasks
+  /// (workers = 0: hardware concurrency).
   mapreduce::EngineOptions engine{};
   /// Registry the pipeline counters accumulate into; null = a matcher-owned
   /// registry (MatchStats works either way). One run at a time per registry:
@@ -49,6 +44,12 @@ struct MatcherConfig {
   /// Span recorder for nested stage timing; null = no tracing.
   obs::TraceRecorder* trace{nullptr};
 };
+
+/// `engine`, with its metrics registry and trace recorder defaulted to the
+/// matcher's, so mr.* counters land next to the match.* ones.
+[[nodiscard]] mapreduce::EngineOptions MatcherEngineOptions(
+    mapreduce::EngineOptions engine, obs::MetricsRegistry& metrics,
+    obs::TraceRecorder* trace);
 
 class EvMatcher {
  public:
@@ -82,18 +83,13 @@ class EvMatcher {
   }
 
  private:
-  [[nodiscard]] SplitOutcome RunSplit(const std::vector<Eid>& targets,
-                                      std::uint64_t seed);
-  void RunFilter(const std::vector<EidScenarioList>& lists,
-                 std::vector<MatchResult>& results);
-
   const EScenarioSet& e_scenarios_;
   const VScenarioSet& v_scenarios_;
   MatcherConfig config_;
   std::vector<Eid> universe_;
   obs::MetricsRegistry own_metrics_;  // used when config_.metrics is null
   FeatureGallery gallery_;
-  std::unique_ptr<mapreduce::MapReduceEngine> engine_;  // kMapReduce only
+  mapreduce::MapReduceEngine engine_;
 };
 
 }  // namespace evm

@@ -303,13 +303,32 @@ class MapReduceEngine {
   /// Runs caller-provided tasks (no map/reduce framing) through the
   /// engine's scheduler with the engine's fault-tolerance options — how
   /// pipeline stages outside the MapReduce template (e.g. the V-side filter)
-  /// get retries, speculation and degradation. Counters land under
-  /// "mr.<stage>_*" in registry().
+  /// get retries, speculation and degradation. The map-stage injection
+  /// knobs apply to every attempt before its body runs: a seeded
+  /// first-attempt straggler sleep, then a seeded failure counted in
+  /// mr.injected_map_failures. Counters land under "mr.<stage>_*" in
+  /// registry().
   SchedulerReport RunTasks(const std::string& job, const std::string& stage,
                            const std::vector<TaskFn>& tasks) {
+    const obs::Counter c_injected = registry().counter(kMrInjectedMapFailures);
+    const std::string straggler_stream = stage + "-straggler";
+    std::vector<TaskFn> injected;
+    injected.reserve(tasks.size());
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      injected.push_back([&, t](const AttemptContext& ctx) {
+        MaybeStraggle(job, straggler_stream.c_str(), t, ctx,
+                      options_.map_straggler_prob);
+        if (InjectFailure(job, stage.c_str(), t, ctx.attempt(),
+                          options_.map_failure_prob)) {
+          c_injected.Add();
+          return AttemptStatus::kFailed;
+        }
+        return tasks[t](ctx);
+      });
+    }
     TaskScheduler scheduler(pool_, SchedulerRunOptions(), &registry(),
                             options_.trace);
-    return scheduler.Run(job, stage, tasks);
+    return scheduler.Run(job, stage, injected);
   }
 
   [[nodiscard]] const JobCounters& last_counters() const noexcept {

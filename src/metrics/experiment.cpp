@@ -47,15 +47,10 @@ MatcherConfig DefaultSsConfig(bool practical) {
   config.split.mode = SplitMode::kWindowSignature;
   config.split.practical = practical;
   config.refine.enabled = practical;
-  config.execution = ExecutionMode::kMapReduce;
   return config;
 }
 
-EdpConfig DefaultEdpConfig() {
-  EdpConfig config;
-  config.execution = ExecutionMode::kMapReduce;
-  return config;
-}
+EdpConfig DefaultEdpConfig() { return EdpConfig{}; }
 
 namespace {
 

@@ -36,7 +36,7 @@ struct RunSummary {
                                 const EdpConfig& config);
 
 /// Default matcher/EDP configurations used across the paper-reproduction
-/// benches (MapReduce execution with all hardware workers).
+/// benches (engine with all hardware workers).
 [[nodiscard]] MatcherConfig DefaultSsConfig(bool practical = false);
 [[nodiscard]] EdpConfig DefaultEdpConfig();
 

@@ -123,9 +123,11 @@ std::size_t IncrementalMatcher::OnSealed(const SealResult& sealed,
 
   std::vector<MatchResult> results;
   if (scheduler_ != nullptr) {
-    RunFilterStageScheduled(changed, store_.v_scenarios(), gallery_,
-                            config_.filter, results, metrics_, trace_,
-                            *scheduler_);
+    RunFilterStageScheduled(
+        changed, store_.v_scenarios(), gallery_, config_.filter, results,
+        metrics_, trace_, [this](const std::vector<mapreduce::TaskFn>& tasks) {
+          scheduler_->Run("stream-filter", "filter", tasks);
+        });
   } else {
     RunFilterStage(changed, store_.v_scenarios(), gallery_, config_.filter,
                    results, metrics_, trace_, pool_);

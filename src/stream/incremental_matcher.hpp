@@ -42,6 +42,7 @@
 #include "core/set_splitting.hpp"
 #include "core/types.hpp"
 #include "core/vid_filter.hpp"
+#include "mapreduce/scheduler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "stream/windowed_store.hpp"

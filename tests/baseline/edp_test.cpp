@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/match_counters.hpp"
 #include "dataset/generator.hpp"
 #include "metrics/accuracy.hpp"
 #include "metrics/experiment.hpp"
@@ -83,23 +84,47 @@ TEST(EdpTest, EndToEndAccuracyIsHighInEasyWorld) {
   EXPECT_GT(report.stats.distinct_scenarios, 0u);
 }
 
-TEST(EdpTest, ParallelExecutionMatchesSequential) {
+TEST(EdpTest, ReportIdenticalAcrossWorkerCounts) {
   const Dataset dataset = GenerateDataset(EasyConfig(25));
   const auto targets = SampleTargets(dataset, 25, 8);
-  EdpConfig sequential;
-  EdpMatcher a(dataset.e_scenarios, dataset.v_scenarios, dataset.oracle,
-               sequential);
-  EdpConfig parallel;
-  parallel.execution = ExecutionMode::kMapReduce;
-  parallel.engine.workers = 4;
-  EdpMatcher b(dataset.e_scenarios, dataset.v_scenarios, dataset.oracle,
-               parallel);
-  const MatchReport ra = a.Match(targets);
-  const MatchReport rb = b.Match(targets);
-  ASSERT_EQ(ra.results.size(), rb.results.size());
-  for (std::size_t i = 0; i < ra.results.size(); ++i) {
-    EXPECT_EQ(ra.results[i].reported_vid, rb.results[i].reported_vid);
+  std::vector<MatchReport> reports;
+  for (const std::size_t workers : {1, 2, 4}) {
+    EdpConfig config;
+    config.engine.workers = workers;
+    EdpMatcher matcher(dataset.e_scenarios, dataset.v_scenarios,
+                       dataset.oracle, config);
+    reports.push_back(matcher.Match(targets));
   }
+  for (std::size_t k = 1; k < reports.size(); ++k) {
+    test::ExpectSameReport(reports[0], reports[k]);
+  }
+}
+
+TEST(EdpTest, FilterCountersMatchDirectFilterVidLoop) {
+  // EDP's V stage publishes all four filter counters, exactly what a plain
+  // FilterVid loop over its own scenario lists counts.
+  const Dataset dataset = GenerateDataset(EasyConfig(28));
+  const auto targets = SampleTargets(dataset, 25, 3);
+  EdpConfig config;
+  config.engine.workers = 2;
+  EdpMatcher matcher(dataset.e_scenarios, dataset.v_scenarios, dataset.oracle,
+                     config);
+  const MatchReport report = matcher.Match(targets);
+
+  FeatureGallery gallery(dataset.oracle);
+  VidFilterCounters direct;
+  for (const EidScenarioList& list : report.scenario_lists) {
+    (void)FilterVid(list, dataset.v_scenarios, gallery, direct);
+  }
+  const obs::MetricsRegistry& reg = matcher.metrics();
+  EXPECT_EQ(reg.CounterValue(kCtrFeatureComparisons),
+            direct.feature_comparisons);
+  EXPECT_EQ(reg.CounterValue(kCtrScenariosProcessed),
+            direct.scenarios_processed);
+  EXPECT_EQ(reg.CounterValue(kCtrExactFeatureRows), direct.exact_feature_rows);
+  EXPECT_EQ(reg.CounterValue(kCtrQuantizedFullScans),
+            direct.quantized_full_scans);
+  EXPECT_GT(direct.exact_feature_rows, 0u);
 }
 
 TEST(EdpTest, ScenarioCapIsRespected) {

@@ -9,6 +9,7 @@
 #include "mapreduce/scheduler.hpp"
 #include "metrics/accuracy.hpp"
 #include "metrics/experiment.hpp"
+#include "tests/testutil.hpp"
 
 namespace evm {
 namespace {
@@ -76,40 +77,28 @@ TEST(MatcherTest, GalleryReuseMakesFollowUpQueriesCheap) {
             first.stats.features_extracted / 4);
 }
 
-TEST(MatcherTest, ParallelExecutionMatchesSequentialResults) {
-  const Dataset dataset = GenerateDataset(EasyConfig(15));
-  const auto targets = SampleTargets(dataset, 30, 5);
-
-  MatcherConfig sequential_config;
-  EvMatcher sequential(dataset.e_scenarios, dataset.v_scenarios,
-                       dataset.oracle, sequential_config);
-  const MatchReport a = sequential.Match(targets);
-
-  MatcherConfig parallel_config;
-  parallel_config.execution = ExecutionMode::kMapReduce;
-  parallel_config.engine.workers = 4;
-  EvMatcher parallel(dataset.e_scenarios, dataset.v_scenarios, dataset.oracle,
-                     parallel_config);
-  const MatchReport b = parallel.Match(targets);
-
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (std::size_t i = 0; i < a.results.size(); ++i) {
-    EXPECT_EQ(a.results[i].eid, b.results[i].eid);
-    EXPECT_EQ(a.results[i].reported_vid, b.results[i].reported_vid);
-    EXPECT_EQ(a.results[i].chosen_per_scenario,
-              b.results[i].chosen_per_scenario);
-  }
-  EXPECT_EQ(a.stats.distinct_scenarios, b.stats.distinct_scenarios);
-}
-
-TEST(MatcherTest, MapReduceRequiresSignatureMode) {
+TEST(MatcherTest, BinarySplitModeMatchesThroughEngine) {
+  // The matcher splits with RunSplitStage whatever the mode, so the binary
+  // splitter of Algorithm 1 runs under the engine's V stage too.
   const Dataset dataset = GenerateDataset(EasyConfig(16));
+  const auto targets = SampleTargets(dataset, 30, 5);
   MatcherConfig config;
-  config.execution = ExecutionMode::kMapReduce;
   config.split.mode = SplitMode::kBinary;
-  EXPECT_THROW(EvMatcher(dataset.e_scenarios, dataset.v_scenarios,
-                         dataset.oracle, config),
-               Error);
+  config.engine.workers = 2;
+  EvMatcher matcher(dataset.e_scenarios, dataset.v_scenarios, dataset.oracle,
+                    config);
+  const MatchReport report = matcher.Match(targets);
+
+  obs::MetricsRegistry split_metrics;
+  const SplitOutcome expected =
+      RunSplitStage(dataset.e_scenarios, config.split, matcher.Universe(),
+                    targets, split_metrics, nullptr);
+  ASSERT_EQ(report.scenario_lists.size(), expected.lists.size());
+  for (std::size_t i = 0; i < expected.lists.size(); ++i) {
+    EXPECT_EQ(report.scenario_lists[i].scenarios, expected.lists[i].scenarios);
+  }
+  EXPECT_EQ(report.stats.splitting_iterations, expected.windows_consumed);
+  EXPECT_GE(MatchAccuracy(report.results, dataset.truth), 0.9);
 }
 
 TEST(MatcherTest, RefiningRecoversFromMissingVids) {
@@ -163,69 +152,38 @@ TEST(MatcherTest, RefineRoundsAccumulateSplittingIterations) {
             base.stats.splitting_iterations);
 }
 
-TEST(MatcherTest, SerialAndMapReduceReportIdenticalStats) {
-  // MatchStats is a view over registry deltas, so both execution modes must
-  // report the exact same counts (timing fields excluded, of course).
+TEST(MatcherTest, ReportIdenticalAcrossWorkerCounts) {
+  // MatchStats is a view over registry deltas and every V-stage task
+  // publishes only on commit, so the worker count can change no field of
+  // the report, nor the registry-only kernel scan counters (same process,
+  // same ISA: the scan decomposition is identical).
   const Dataset dataset = GenerateDataset(EasyConfig(20));
   const auto targets = SampleTargets(dataset, 30, 5);
-
-  MatcherConfig serial_config;
-  EvMatcher serial(dataset.e_scenarios, dataset.v_scenarios, dataset.oracle,
-                   serial_config);
-  const MatchStats a = serial.Match(targets).stats;
-
-  MatcherConfig mr_config;
-  mr_config.execution = ExecutionMode::kMapReduce;
-  mr_config.engine.workers = 4;
-  EvMatcher mapreduce(dataset.e_scenarios, dataset.v_scenarios,
-                      dataset.oracle, mr_config);
-  const MatchStats b = mapreduce.Match(targets).stats;
-
-  EXPECT_EQ(a.distinct_scenarios, b.distinct_scenarios);
-  EXPECT_DOUBLE_EQ(a.avg_scenarios_per_eid, b.avg_scenarios_per_eid);
-  EXPECT_EQ(a.splitting_iterations, b.splitting_iterations);
-  EXPECT_EQ(a.undistinguished_eids, b.undistinguished_eids);
-  EXPECT_EQ(a.features_extracted, b.features_extracted);
-  EXPECT_EQ(a.feature_comparisons, b.feature_comparisons);
-  EXPECT_EQ(a.scenarios_processed, b.scenarios_processed);
-  EXPECT_EQ(a.refine_rounds, b.refine_rounds);
-  // Regression: the serial path used to drop scenarios_processed entirely.
-  EXPECT_GT(a.scenarios_processed, 0u);
-}
-
-TEST(MatcherTest, KernelScanCountersRegisterInBothExecutionModes) {
-  // match.exact_feature_rows / match.quantized_full_scans are registry-only
-  // (shortlist composition is ISA-dependent, so they stay out of MatchStats),
-  // but both execution paths must still accumulate them; the MapReduce
-  // filter used to drop them on the floor.
-  const Dataset dataset = GenerateDataset(EasyConfig(20));
-  const auto targets = SampleTargets(dataset, 30, 5);
-
-  MatcherConfig serial_config;
-  EvMatcher serial(dataset.e_scenarios, dataset.v_scenarios, dataset.oracle,
-                   serial_config);
-  (void)serial.Match(targets);
-  const std::uint64_t serial_rows =
-      serial.metrics().CounterValue(kCtrExactFeatureRows);
-  EXPECT_GT(serial_rows, 0u);
-
-  MatcherConfig mr_config;
-  mr_config.execution = ExecutionMode::kMapReduce;
-  mr_config.engine.workers = 4;
-  EvMatcher mapreduce(dataset.e_scenarios, dataset.v_scenarios,
-                      dataset.oracle, mr_config);
-  (void)mapreduce.Match(targets);
-  // Same process, same ISA: the scan decomposition is identical, so the two
-  // modes must agree exactly.
-  EXPECT_EQ(mapreduce.metrics().CounterValue(kCtrExactFeatureRows),
-            serial_rows);
-  EXPECT_EQ(mapreduce.metrics().CounterValue(kCtrQuantizedFullScans),
-            serial.metrics().CounterValue(kCtrQuantizedFullScans));
+  std::vector<MatchReport> reports;
+  std::vector<std::uint64_t> exact_rows;
+  std::vector<std::uint64_t> full_scans;
+  for (const std::size_t workers : {1, 2, 4}) {
+    MatcherConfig config;
+    config.engine.workers = workers;
+    EvMatcher matcher(dataset.e_scenarios, dataset.v_scenarios,
+                      dataset.oracle, config);
+    reports.push_back(matcher.Match(targets));
+    exact_rows.push_back(matcher.metrics().CounterValue(kCtrExactFeatureRows));
+    full_scans.push_back(
+        matcher.metrics().CounterValue(kCtrQuantizedFullScans));
+  }
+  EXPECT_GT(reports[0].stats.scenarios_processed, 0u);
+  EXPECT_GT(exact_rows[0], 0u);
+  for (std::size_t k = 1; k < reports.size(); ++k) {
+    test::ExpectSameReport(reports[0], reports[k]);
+    EXPECT_EQ(exact_rows[k], exact_rows[0]);
+    EXPECT_EQ(full_scans[k], full_scans[0]);
+  }
 }
 
 TEST(MatcherTest, ScheduledFilterStageMatchesSequentialFilterStage) {
-  // The stream driver's live V stage runs as scheduler tasks; the drain and
-  // the sequential batch run it in a plain loop. Over the same lists both
+  // The batch matchers and the stream driver's live V stage run it as
+  // scheduler tasks; the stream drain runs it in a plain loop. Over the same lists both
   // must produce the same results and publish the same counters.
   const Dataset dataset = GenerateDataset(EasyConfig(21));
   const auto targets = SampleTargets(dataset, 30, 5);
@@ -246,9 +204,12 @@ TEST(MatcherTest, ScheduledFilterStageMatchesSequentialFilterStage) {
   std::vector<MatchResult> scheduled;
   ThreadPool pool(4);
   mapreduce::TaskScheduler scheduler(pool, {});
-  RunFilterStageScheduled(outcome.lists, dataset.v_scenarios,
-                          scheduled_gallery, {}, scheduled, scheduled_metrics,
-                          nullptr, scheduler);
+  RunFilterStageScheduled(
+      outcome.lists, dataset.v_scenarios, scheduled_gallery, {}, scheduled,
+      scheduled_metrics, nullptr,
+      [&scheduler](const std::vector<mapreduce::TaskFn>& tasks) {
+        scheduler.Run("filter-job", "filter", tasks);
+      });
 
   ASSERT_EQ(scheduled.size(), sequential.size());
   for (std::size_t i = 0; i < sequential.size(); ++i) {

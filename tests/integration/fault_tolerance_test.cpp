@@ -26,7 +26,6 @@ TEST(FaultToleranceTest, MatcherSurvivesInjectedEngineFailures) {
   const auto targets = SampleTargets(dataset, 40, 2);
 
   MatcherConfig clean;
-  clean.execution = ExecutionMode::kMapReduce;
   clean.engine.workers = 2;
   EvMatcher clean_matcher(dataset.e_scenarios, dataset.v_scenarios,
                           dataset.oracle, clean);
@@ -40,6 +39,10 @@ TEST(FaultToleranceTest, MatcherSurvivesInjectedEngineFailures) {
   EvMatcher flaky_matcher(dataset.e_scenarios, dataset.v_scenarios,
                           dataset.oracle, flaky);
   const MatchReport b = flaky_matcher.Match(targets);
+  // The injection must actually reach the matching tasks.
+  EXPECT_GT(flaky_matcher.metrics().CounterValue(
+                mapreduce::kMrInjectedMapFailures),
+            0u);
 
   ASSERT_EQ(a.results.size(), b.results.size());
   for (std::size_t i = 0; i < a.results.size(); ++i) {
@@ -60,7 +63,6 @@ TEST(FaultToleranceTest, MatcherUnaffectedByStragglersAndSpeculation) {
   const auto targets = SampleTargets(dataset, 30, 2);
 
   MatcherConfig clean;
-  clean.execution = ExecutionMode::kMapReduce;
   clean.engine.workers = 2;
   EvMatcher clean_matcher(dataset.e_scenarios, dataset.v_scenarios,
                           dataset.oracle, clean);
@@ -89,7 +91,6 @@ TEST(FaultToleranceTest, PipelineFailsCleanlyWhenRetriesExhaust) {
   const Dataset dataset = GenerateDataset(SmallWorld(72));
   const auto targets = SampleTargets(dataset, 10, 1);
   MatcherConfig doomed;
-  doomed.execution = ExecutionMode::kMapReduce;
   doomed.engine.workers = 2;
   doomed.engine.map_failure_prob = 0.97;
   doomed.engine.max_attempts = 2;

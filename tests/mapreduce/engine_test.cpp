@@ -418,5 +418,54 @@ TEST(EngineTest, RunTasksExposesSchedulerWithEngineOptions) {
   EXPECT_EQ(engine.registry().CounterValue("mr.filter_attempts"), 8u);
 }
 
+TEST(EngineTest, RunTasksAppliesMapInjection) {
+  // RunTasks attempts roll the engine's map-stage failure and straggler
+  // schedule before their bodies run: retries absorb the failures, the
+  // outputs equal a clean run's, and an exhausted budget throws.
+  const auto run = [](EngineOptions options, std::vector<std::uint64_t>& out,
+                      std::atomic<std::uint64_t>& bodies) {
+    MapReduceEngine engine(options);
+    std::vector<TaskFn> tasks;
+    for (std::size_t t = 0; t < out.size(); ++t) {
+      tasks.push_back([&out, &bodies, t](const AttemptContext& ctx) {
+        bodies.fetch_add(1, std::memory_order_relaxed);
+        if (!ctx.ClaimCommit()) return AttemptStatus::kCommitLost;
+        out[t] = t * t + 1;
+        return AttemptStatus::kSuccess;
+      });
+    }
+    (void)engine.RunTasks("inject-job", "filter", tasks);
+    return engine.registry().CounterValue(kMrInjectedMapFailures);
+  };
+
+  std::vector<std::uint64_t> clean(32, 0);
+  std::atomic<std::uint64_t> clean_bodies{0};
+  EXPECT_EQ(run({.workers = 2, .seed = 8}, clean, clean_bodies), 0u);
+
+  std::vector<std::uint64_t> flaky(32, 0);
+  std::atomic<std::uint64_t> flaky_bodies{0};
+  const std::uint64_t injected =
+      run({.workers = 2,
+           .seed = 8,
+           .map_failure_prob = 0.4,
+           .map_straggler_prob = 0.1,
+           .straggler_delay = std::chrono::milliseconds(5),
+           .max_attempts = 40},
+          flaky, flaky_bodies);
+  EXPECT_GT(injected, 0u);
+  EXPECT_EQ(flaky, clean);
+  // Injected failures strike before the body: only surviving attempts ran.
+  EXPECT_EQ(flaky_bodies.load(), clean_bodies.load());
+
+  std::vector<std::uint64_t> doomed(32, 0);
+  std::atomic<std::uint64_t> doomed_bodies{0};
+  EXPECT_THROW((void)run({.workers = 2,
+                          .seed = 8,
+                          .map_failure_prob = 0.97,
+                          .max_attempts = 2},
+                         doomed, doomed_bodies),
+               Error);
+}
+
 }  // namespace
 }  // namespace evm::mapreduce

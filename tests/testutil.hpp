@@ -1,11 +1,15 @@
 #pragma once
-// Shared helpers for hand-crafting scenario fixtures in tests.
+// Shared helpers for hand-crafting scenario fixtures and comparing match
+// reports in tests.
 
 #include <cstdint>
 #include <initializer_list>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "common/ids.hpp"
+#include "core/types.hpp"
 #include "esense/e_scenario.hpp"
 
 namespace evm::test {
@@ -74,6 +78,39 @@ inline std::vector<Eid> EidRange(std::uint64_t n) {
   eids.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) eids.emplace_back(i);
   return eids;
+}
+
+/// Every field of two reports is equal, except the wall-clock timings.
+inline void ExpectSameReport(const MatchReport& a, const MatchReport& b) {
+  ASSERT_EQ(a.results.size(), b.results.size());
+  for (std::size_t i = 0; i < a.results.size(); ++i) {
+    const MatchResult& x = a.results[i];
+    const MatchResult& y = b.results[i];
+    EXPECT_EQ(x.eid, y.eid) << i;
+    EXPECT_EQ(x.chosen_per_scenario, y.chosen_per_scenario) << i;
+    EXPECT_EQ(x.reported_vid, y.reported_vid) << i;
+    EXPECT_EQ(x.confidence, y.confidence) << i;
+    EXPECT_EQ(x.majority_fraction, y.majority_fraction) << i;
+    EXPECT_EQ(x.resolved, y.resolved) << i;
+    EXPECT_EQ(x.e_only, y.e_only) << i;
+  }
+  ASSERT_EQ(a.scenario_lists.size(), b.scenario_lists.size());
+  for (std::size_t i = 0; i < a.scenario_lists.size(); ++i) {
+    EXPECT_EQ(a.scenario_lists[i].eid, b.scenario_lists[i].eid) << i;
+    EXPECT_EQ(a.scenario_lists[i].scenarios, b.scenario_lists[i].scenarios)
+        << i;
+    EXPECT_EQ(a.scenario_lists[i].distinguished,
+              b.scenario_lists[i].distinguished)
+        << i;
+  }
+  EXPECT_EQ(a.stats.distinct_scenarios, b.stats.distinct_scenarios);
+  EXPECT_EQ(a.stats.avg_scenarios_per_eid, b.stats.avg_scenarios_per_eid);
+  EXPECT_EQ(a.stats.splitting_iterations, b.stats.splitting_iterations);
+  EXPECT_EQ(a.stats.undistinguished_eids, b.stats.undistinguished_eids);
+  EXPECT_EQ(a.stats.features_extracted, b.stats.features_extracted);
+  EXPECT_EQ(a.stats.feature_comparisons, b.stats.feature_comparisons);
+  EXPECT_EQ(a.stats.scenarios_processed, b.stats.scenarios_processed);
+  EXPECT_EQ(a.stats.refine_rounds, b.stats.refine_rounds);
 }
 
 }  // namespace evm::test
