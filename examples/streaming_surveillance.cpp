@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
                       dataset.config.vague_threshold};
   driver_config.match.targets = targets;
   driver_config.v_workers = 4;
+  driver_config.metrics = trace.metrics();
   driver_config.trace = trace.trace();
 
   stream::StreamDriver driver(dataset.grid, dataset.oracle, driver_config);

@@ -1,9 +1,11 @@
 #pragma once
-// Hash helpers shared by the MapReduce partitioner and container keys.
+// Hash helpers shared by the MapReduce partitioner, container keys and the
+// multi-process engine's pinned name hash.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <string_view>
 #include <vector>
 
 namespace evm {
@@ -29,6 +31,20 @@ inline std::size_t HashU64Vector(const std::vector<std::uint64_t>& v) noexcept {
   std::size_t seed = 0x2545f4914f6cdd1dULL;
   for (auto x : v) HashCombine(seed, static_cast<std::size_t>(Mix64(x)));
   return seed;
+}
+
+/// Stable 64-bit hash of a byte string: FNV-1a over the bytes, folded
+/// through Mix64. std::hash would work on any one platform but is not pinned
+/// across standard libraries; the distributed engine's first-attempt
+/// placement, its worker kill schedule and the workers' dataset cache keys
+/// must be, so a given seed means the same thing on every build.
+constexpr std::uint64_t HashName(std::string_view name) noexcept {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : name) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return Mix64(h);
 }
 
 }  // namespace evm

@@ -10,13 +10,11 @@
 #include <utility>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/hash.hpp"
 #include "core/vid_filter.hpp"
 #include "dataset/generator.hpp"
 #include "dist/codecs.hpp"
 #include "dist/dist_match.hpp"
-#include "dist/shard_map.hpp"
 #include "dist/task_registry.hpp"
 #include "vsense/gallery.hpp"
 
@@ -43,7 +41,7 @@ Bytes RunMatchFilter(const Bytes& payload, WorkerEnv& env) {
   // Cache key: the config's encoded bytes, so any field change (including
   // the seed) regenerates.
   const Bytes config_bytes = EncodeValue<DatasetConfig>(config);
-  const std::uint64_t key = ShardMap::HashName(std::string_view(
+  const std::uint64_t key = HashName(std::string_view(
       reinterpret_cast<const char*>(config_bytes.data()),
       config_bytes.size()));
   const std::shared_ptr<MatchContext> ctx = env.GetOrCreate<MatchContext>(
@@ -58,8 +56,8 @@ Bytes RunMatchFilter(const Bytes& payload, WorkerEnv& env) {
 }
 
 Bytes RunBenchJob(const Bytes& payload, WorkerEnv& /*env*/) {
-  // Models one matching job's service time: a CPU component (hash spin)
-  // plus a blocking component (the stand-in for DFS/network waits a real
+  // Models a task's service time: a CPU component (hash spin) plus a
+  // blocking component (the stand-in for storage/network waits a real
   // deployment spends most of its time in). The blocking share is what
   // additional single-threaded worker processes overlap, so the
   // distributed bench scales even on a single-core host.
@@ -76,27 +74,12 @@ Bytes RunBenchJob(const Bytes& payload, WorkerEnv& /*env*/) {
 
 Bytes RunEcho(const Bytes& payload, WorkerEnv& /*env*/) { return payload; }
 
-Bytes RunShardSum(const Bytes& payload, WorkerEnv& env) {
-  // Sums the bytes of a shard-local dataset — the locality probe the
-  // migration tests use: it only succeeds on the worker that actually
-  // hosts the dataset.
-  const auto name = DecodeValue<std::string>(payload);
-  const auto blocks = env.dfs.Read(name);
-  if (!blocks) throw Error("dataset '" + name + "' not on this shard");
-  std::uint64_t sum = 0;
-  for (const auto& block : *blocks) {
-    for (const unsigned char byte : block) sum += byte;
-  }
-  return EncodeValue<std::uint64_t>(sum);
-}
-
 }  // namespace
 
 void RegisterBuiltinTaskKinds() {
   RegisterTaskKind(kMatchFilterKind, RunMatchFilter);
   RegisterTaskKind("evm.bench_job", RunBenchJob);
   RegisterTaskKind("evm.echo", RunEcho);
-  RegisterTaskKind("evm.shard_sum", RunShardSum);
 }
 
 }  // namespace evm::dist

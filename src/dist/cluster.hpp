@@ -6,7 +6,7 @@
 // channels, and turns process exits back into facts the engine can use
 // (Alive(), ExitStatus()). It makes no routing or retry decisions — that is
 // DistEngine's job; Cluster will happily Spawn() a replacement worker and
-// leave rebalancing to the caller.
+// leave it to the caller to start sending it tasks.
 //
 // FD discipline: both socketpair ends are created close-on-exec, so a
 // worker forked later never inherits an older sibling's channel (which
@@ -16,6 +16,7 @@
 
 #include <sys/types.h>
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,9 +27,11 @@
 #include "common/flat_map.hpp"
 #include "common/mutex.hpp"
 #include "dist/rpc.hpp"
-#include "dist/shard_map.hpp"
 
 namespace evm::dist {
+
+/// Dense worker id, assigned by Spawn() and never reused.
+using WorkerId = std::uint32_t;
 
 struct ClusterOptions {
   /// Path to the evm_worker binary (tests get it from the build via the

@@ -126,27 +126,15 @@ std::optional<Frame> RpcChannel::RecvFrame(std::chrono::milliseconds timeout) {
   return frame;
 }
 
-Frame RpcChannel::CallLocked(Method method, const Bytes& payload,
-                             std::chrono::milliseconds timeout) {
+Frame RpcChannel::Call(Method method, const Bytes& payload,
+                       std::chrono::milliseconds timeout) {
+  common::MutexLock lock(mutex_);
   SendFrame(static_cast<std::uint8_t>(method), payload);
   std::optional<Frame> response = RecvFrame(timeout);
   if (!response) {
     throw RpcError(RpcFailure::kClosed, "peer closed before responding");
   }
   return std::move(*response);
-}
-
-Frame RpcChannel::Call(Method method, const Bytes& payload,
-                       std::chrono::milliseconds timeout) {
-  common::MutexLock lock(mutex_);
-  return CallLocked(method, payload, timeout);
-}
-
-std::optional<Frame> RpcChannel::TryCall(Method method, const Bytes& payload,
-                                         std::chrono::milliseconds timeout) {
-  common::MutexLock lock(mutex_, common::kTryToLock);
-  if (!lock.OwnsLock()) return std::nullopt;
-  return CallLocked(method, payload, timeout);
 }
 
 std::optional<Frame> RpcChannel::RecvRequest() {

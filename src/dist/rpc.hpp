@@ -36,18 +36,14 @@ using Bytes = std::vector<unsigned char>;
 
 /// Largest payload length a frame header may declare. A longer one is a
 /// corrupted length prefix, not a payload: the biggest legitimate payloads
-/// (dataset blocks) stay far below it.
+/// (encoded scenario lists and match results) stay far below it.
 inline constexpr std::uint32_t kMaxFrame = 1u << 30;
 
-/// Request codes understood by a worker's serve loop (worker.cpp).
+/// Request codes understood by a worker's serve loop (worker.cpp). The
+/// values are the wire format: a retired code is not reused.
 enum class Method : std::uint8_t {
   kPing = 0,       ///< liveness probe; echoes the payload
   kExecTask = 1,   ///< run a registered task kind (task_registry.hpp)
-  kDfsWrite = 2,   ///< replace a dataset in the worker's DFS shard
-  kDfsAppend = 3,  ///< append one block to a dataset
-  kDfsRead = 4,    ///< read a whole dataset
-  kDfsRemove = 5,  ///< delete a dataset
-  kDfsList = 6,    ///< list the shard's dataset names (sorted)
   kShutdown = 7,   ///< finish the serve loop and exit cleanly
 };
 
@@ -99,14 +95,6 @@ class RpcChannel {
                            std::chrono::milliseconds timeout)
       EVM_EXCLUDES(mutex_);
 
-  /// Call, but gives up immediately when another call is in flight instead
-  /// of queueing behind it — the heartbeat monitor's probe (an in-flight
-  /// call carries its own deadline, so waiting would double-count it).
-  [[nodiscard]] std::optional<Frame> TryCall(Method method,
-                                             const Bytes& payload,
-                                             std::chrono::milliseconds timeout)
-      EVM_EXCLUDES(mutex_);
-
   /// Server side: blocks for the next request frame; nullopt on orderly
   /// close. Throws RpcError on protocol violations. Single-threaded use
   /// only (the worker serve loop).
@@ -121,9 +109,6 @@ class RpcChannel {
   [[nodiscard]] int fd() const noexcept { return fd_; }
 
  private:
-  [[nodiscard]] Frame CallLocked(Method method, const Bytes& payload,
-                                 std::chrono::milliseconds timeout)
-      EVM_REQUIRES(mutex_);
   void SendFrame(std::uint8_t code, const Bytes& payload);
   [[nodiscard]] std::optional<Frame> RecvFrame(
       std::chrono::milliseconds timeout);

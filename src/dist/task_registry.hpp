@@ -6,10 +6,10 @@
 // driver and the evm_worker binary link this registry and register the same
 // kinds at startup (builtin_kinds.cpp), so an ExecTask request is just
 // (kind, payload bytes) and the response is the handler's output bytes. A
-// handler must be a pure function of (payload, its worker's DFS shard
-// contents): the driver retries attempts on other workers after a death,
-// and byte-identical output across attempts is what keeps job output
-// independent of the failure schedule.
+// handler must be a pure function of its payload (the env cache holds only
+// state derived from payloads): the driver retries attempts on other
+// workers after a death, and byte-identical output across attempts is what
+// keeps job output independent of the failure schedule.
 
 #include <cstdint>
 #include <functional>
@@ -18,17 +18,14 @@
 #include <vector>
 
 #include "common/flat_map.hpp"
-#include "mapreduce/dfs.hpp"
 
 namespace evm::dist {
 
-/// Mutable per-worker state a task kind may use: the worker's DFS shard
-/// (inputs staged by the driver land here) and a keyed cache for expensive
-/// derived state (regenerated datasets, feature galleries). The worker
-/// serve loop is single-threaded, so handlers access it without locking.
+/// Mutable per-worker state a task kind may use: a keyed cache for
+/// expensive derived state (regenerated datasets, feature galleries). The
+/// worker serve loop is single-threaded, so handlers access it without
+/// locking.
 struct WorkerEnv {
-  mapreduce::Dfs dfs;
-
   /// Opaque cache slots keyed by a caller-chosen hash (e.g. of an encoded
   /// dataset config). GetOrCreate returns the existing value or stores the
   /// factory's result.

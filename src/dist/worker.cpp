@@ -3,18 +3,15 @@
 #include <cstdlib>
 #include <exception>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "dist/codecs.hpp"
 
 namespace evm::dist {
 namespace {
-
-using mapreduce::Block;
-using mapreduce::Codec;
 
 /// Exit code for an injected kill: distinguishable from a crash (SIGSEGV)
 /// and from a clean exit in the cluster's reaping diagnostics.
@@ -23,9 +20,9 @@ constexpr int kInjectedKillExit = 43;
 void MaybeInjectKill(const WorkerOptions& options,
                      const ExecTaskRequest& req) {
   if (options.kill_prob <= 0.0) return;
-  // ShardMap::HashName, not std::hash: the schedule must be identical across
-  // standard libraries for the nightly soak's pinned seeds to mean anything.
-  Rng rng(DeriveSeed(options.kill_seed ^ ShardMap::HashName(req.job),
+  // HashName, not std::hash: the schedule must be identical across standard
+  // libraries for the nightly soak's pinned seeds to mean anything.
+  Rng rng(DeriveSeed(options.kill_seed ^ HashName(req.job),
                      "worker-kill", req.task * 1024 + req.attempt));
   if (rng.NextDouble() < options.kill_prob) {
     // _Exit, not exit: simulate a machine death, not a polite shutdown —
@@ -43,40 +40,6 @@ Bytes HandleExecTask(const WorkerOptions& options, WorkerEnv& env,
     throw Error("unknown task kind '" + req.kind + "'");
   }
   return (*fn)(req.payload, env);
-}
-
-Bytes HandleDfsWrite(WorkerEnv& env, const Bytes& payload) {
-  auto req =
-      DecodeValue<std::pair<std::string, std::vector<Block>>>(payload);
-  env.dfs.Write(req.first, std::move(req.second));
-  return {};
-}
-
-Bytes HandleDfsAppend(WorkerEnv& env, const Bytes& payload) {
-  auto req = DecodeValue<std::pair<std::string, Block>>(payload);
-  env.dfs.Append(req.first, std::move(req.second));
-  return {};
-}
-
-Bytes HandleDfsRead(WorkerEnv& env, const Bytes& payload) {
-  const auto name = DecodeValue<std::string>(payload);
-  const auto blocks = env.dfs.Read(name);
-  // Existence travels as an explicit flag: an empty dataset and a missing
-  // one are different answers, and the driver's migration reconciliation
-  // needs to tell them apart.
-  BinaryWriter w;
-  Codec<bool>::Encode(w, blocks.has_value());
-  if (blocks) Codec<std::vector<Block>>::Encode(w, *blocks);
-  return w.Take();
-}
-
-Bytes HandleDfsRemove(WorkerEnv& env, const Bytes& payload) {
-  const auto name = DecodeValue<std::string>(payload);
-  return EncodeValue<bool>(env.dfs.Remove(name));
-}
-
-Bytes HandleDfsList(WorkerEnv& env) {
-  return EncodeValue<std::vector<std::string>>(env.dfs.List());
 }
 
 }  // namespace
@@ -99,21 +62,6 @@ void ServeWorker(RpcChannel& channel, const WorkerOptions& options) {
           break;
         case Method::kExecTask:
           out = HandleExecTask(options, env, request->payload);
-          break;
-        case Method::kDfsWrite:
-          out = HandleDfsWrite(env, request->payload);
-          break;
-        case Method::kDfsAppend:
-          out = HandleDfsAppend(env, request->payload);
-          break;
-        case Method::kDfsRead:
-          out = HandleDfsRead(env, request->payload);
-          break;
-        case Method::kDfsRemove:
-          out = HandleDfsRemove(env, request->payload);
-          break;
-        case Method::kDfsList:
-          out = HandleDfsList(env);
           break;
         default: {
           const std::string what = "unknown method code";

@@ -1,17 +1,17 @@
 #pragma once
-// Worker-process serve loop: one DFS/gallery shard behind an RPC socket.
+// Worker-process serve loop: a task-kind executor behind an RPC socket.
 //
-// A worker is deliberately dumb. It holds a Dfs (its shard of the staged
-// datasets), a derived-state cache, and the task-kind registry, and it
-// answers one request at a time on one socket. All placement, retry,
-// migration and heartbeat intelligence lives in the driver (dist_engine.hpp)
-// — the worker's only failure-handling duty is to die loudly, which the
-// kill-injection knob (EVM_MR_INJECT_WORKER_KILLS) exercises on purpose.
+// A worker is deliberately dumb. It holds a derived-state cache and the
+// task-kind registry, and it answers one request at a time on one socket.
+// All placement, retry and heartbeat intelligence lives in the driver
+// (dist_engine.hpp) — the worker's only failure-handling duty is to die
+// loudly, which the kill-injection knob (EVM_MR_INJECT_WORKER_KILLS)
+// exercises on purpose.
 
 #include <cstdint>
 
 #include "dist/rpc.hpp"
-#include "dist/shard_map.hpp"
+#include "dist/cluster.hpp"
 #include "dist/task_registry.hpp"
 
 namespace evm::dist {

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -18,7 +19,69 @@
 namespace evm::dist {
 namespace {
 
-using mapreduce::Block;
+// --- placement (pure; no workers spawned) ----------------------------------
+
+std::vector<WorkerId> Ids(std::size_t n) {
+  std::vector<WorkerId> ids;
+  // Sparse, ascending ids, as after a few replacements.
+  for (std::size_t i = 0; i < n; ++i) ids.push_back(3 * i + 1);
+  return ids;
+}
+
+// k*n consecutive tasks put exactly k first attempts on every worker, from
+// whatever offset the job name picks.
+TEST(PickWorkerTest, FirstAttemptsRoundRobin) {
+  constexpr std::size_t kPerWorker = 5;
+  for (const std::size_t n : {1u, 2u, 3u, 4u}) {
+    const std::vector<WorkerId> workers = Ids(n);
+    for (const std::string job : {"dist-match#0", "dist-match#1", "j"}) {
+      for (const std::size_t start : {0u, 7u}) {
+        std::map<WorkerId, std::size_t> first;
+        for (std::size_t i = start; i < start + kPerWorker * n; ++i) {
+          ++first[PickWorker(workers, job, i, 1)];
+        }
+        ASSERT_EQ(first.size(), n) << job << " n=" << n;
+        for (const auto& [worker, count] : first) {
+          EXPECT_EQ(count, kPerWorker)
+              << job << " n=" << n << " worker " << worker;
+        }
+      }
+    }
+  }
+}
+
+// Attempts 1..n of one task visit every live worker once, so a retry never
+// re-targets only its dead first choice.
+TEST(PickWorkerTest, RetriesCoverEveryLiveWorker) {
+  for (const std::size_t n : {1u, 2u, 3u, 4u}) {
+    const std::vector<WorkerId> workers = Ids(n);
+    for (std::size_t task = 0; task < 6; ++task) {
+      std::set<WorkerId> seen;
+      for (int attempt = 1; attempt <= static_cast<int>(n); ++attempt) {
+        seen.insert(PickWorker(workers, "retry-job", task, attempt));
+      }
+      EXPECT_EQ(seen, std::set<WorkerId>(workers.begin(), workers.end()))
+          << "n=" << n << " task " << task;
+    }
+  }
+}
+
+// The choice is a function of (workers, job, index, attempt) only: asking in
+// any order, any number of times, gives the same answers.
+TEST(PickWorkerTest, IndependentOfCallOrder) {
+  const std::vector<WorkerId> workers = Ids(3);
+  std::vector<WorkerId> forward;
+  for (std::size_t i = 0; i < 24; ++i) {
+    forward.push_back(PickWorker(workers, "order-job", i, 1 + i % 3));
+  }
+  for (std::size_t i = 24; i-- > 0;) {
+    EXPECT_EQ(PickWorker(workers, "order-job", i, 1 + i % 3), forward[i])
+        << "task " << i;
+  }
+  EXPECT_EQ(PickWorker({9}, "any", 12345, 7), 9u);
+}
+
+// --- the engine, on real worker processes ------------------------------------
 
 std::string WorkerBin() {
   if (const char* env = std::getenv("EVM_WORKER_BIN")) return env;
@@ -35,59 +98,6 @@ DistEngineOptions Options(std::size_t workers) {
   options.workers = workers;
   options.rpc_timeout = std::chrono::milliseconds(30'000);
   return options;
-}
-
-Block MakeBlock(unsigned char fill, std::size_t size = 32) {
-  return Block(size, fill);
-}
-
-/// Asserts the sharding invariant: every replica dataset lives on exactly
-/// its ShardMap owner, with the replica's exact bytes, and no worker hosts
-/// a dataset it does not own.
-void ExpectShardsMatchReplica(DistEngine& engine) {
-  const std::vector<WorkerId> workers = engine.Workers();
-  std::set<std::string> placed;
-  for (const WorkerId w : workers) {
-    for (const std::string& name : engine.WorkerDatasets(w)) {
-      EXPECT_TRUE(placed.insert(name).second)
-          << name << " hosted by more than one worker";
-      const auto replica_blocks = engine.replica().Read(name);
-      ASSERT_TRUE(replica_blocks.has_value()) << name << " not in replica";
-      const auto shard_blocks = engine.Read(name);
-      ASSERT_TRUE(shard_blocks.has_value());
-      EXPECT_EQ(*shard_blocks, *replica_blocks) << name;
-    }
-  }
-  for (const std::string& name : engine.List()) {
-    EXPECT_TRUE(placed.count(name) == 1) << name << " not hosted anywhere";
-  }
-}
-
-TEST(DistEngineTest, RoutedDfsRoundTrip) {
-  DistEngine engine(Options(2));
-  engine.Write("ds/a", {MakeBlock(1), MakeBlock(2)});
-  engine.Append("ds/a", MakeBlock(3));
-  const auto blocks = engine.Read("ds/a");
-  ASSERT_TRUE(blocks.has_value());
-  EXPECT_EQ(*blocks,
-            (std::vector<Block>{MakeBlock(1), MakeBlock(2), MakeBlock(3)}));
-  EXPECT_FALSE(engine.Read("ds/missing").has_value());
-  EXPECT_EQ(engine.List(), (std::vector<std::string>{"ds/a"}));
-  EXPECT_TRUE(engine.Remove("ds/a"));
-  EXPECT_FALSE(engine.Remove("ds/a"));
-  EXPECT_FALSE(engine.Read("ds/a").has_value());
-}
-
-TEST(DistEngineTest, DatasetsLandOnTheirOwners) {
-  DistEngine engine(Options(3));
-  for (int i = 0; i < 24; ++i) {
-    engine.Write("ds/" + std::to_string(i), {MakeBlock(i & 0xff)});
-  }
-  ExpectShardsMatchReplica(engine);
-  // With 24 datasets on 3 workers every shard should be non-empty.
-  for (const WorkerId w : engine.Workers()) {
-    EXPECT_FALSE(engine.WorkerDatasets(w).empty()) << "worker " << w;
-  }
 }
 
 TEST(DistEngineTest, RunTasksEchoAcrossWorkerCounts) {
@@ -119,7 +129,7 @@ TEST(DistEngineTest, UnknownTaskKindPropagatesAsError) {
 TEST(DistEngineTest, TasksSurviveAWorkerKilledBeforeDispatch) {
   DistEngine engine(Options(2));
   const std::vector<WorkerId> before = engine.Workers();
-  // Simulated machine death: the ShardMap still routes to the corpse, so
+  // Simulated machine death: the live list still holds the corpse, so
   // some first attempts fail with RpcError and must be requeued.
   engine.KillWorker(before[0]);
   std::vector<Bytes> payloads;
@@ -156,130 +166,6 @@ TEST(DistEngineTest, TasksSurviveAWorkerKilledMidJob) {
     EXPECT_EQ(out, outputs[0]);
   }
   EXPECT_EQ(engine.Workers().size(), 2u);
-}
-
-TEST(DistEngineTest, ReadFallsBackToReplicaWhenOwnerDies) {
-  DistEngine engine(Options(2));
-  engine.Write("ds/critical", {MakeBlock(9), MakeBlock(8)});
-  // Find the owner by asking the shards directly.
-  WorkerId owner = 0;
-  bool found = false;
-  for (const WorkerId w : engine.Workers()) {
-    const auto names = engine.WorkerDatasets(w);
-    if (std::count(names.begin(), names.end(), "ds/critical")) {
-      owner = w;
-      found = true;
-    }
-  }
-  ASSERT_TRUE(found);
-  engine.KillWorker(owner);
-  const std::uint64_t epoch_before = engine.Epoch();
-  const auto blocks = engine.Read("ds/critical");
-  ASSERT_TRUE(blocks.has_value());
-  EXPECT_EQ(*blocks, (std::vector<Block>{MakeBlock(9), MakeBlock(8)}));
-  // The failed read triggered recovery: membership changed and the dataset
-  // was re-placed from the replica, so the next read is shard-served again.
-  EXPECT_GT(engine.Epoch(), epoch_before);
-  ExpectShardsMatchReplica(engine);
-  EXPECT_TRUE(engine.Read("ds/critical").has_value());
-}
-
-TEST(DistEngineTest, AddAndRemoveWorkerMigrateDatasets) {
-  DistEngine engine(Options(1));
-  for (int i = 0; i < 16; ++i) {
-    engine.Write("mig/" + std::to_string(i), {MakeBlock(i & 0xff)});
-  }
-  const WorkerId added = engine.AddWorker();
-  EXPECT_EQ(engine.Workers().size(), 2u);
-  ExpectShardsMatchReplica(engine);
-  // The join took over a share of the keys (16 datasets, ~half expected;
-  // any non-zero share proves migration ran).
-  EXPECT_FALSE(engine.WorkerDatasets(added).empty());
-
-  engine.RemoveWorker(added);
-  EXPECT_EQ(engine.Workers().size(), 1u);
-  ExpectShardsMatchReplica(engine);
-  // Everything is back on the survivor.
-  EXPECT_EQ(engine.WorkerDatasets(engine.Workers()[0]).size(), 16u);
-}
-
-// The rebalance-under-append satellite: appends racing a worker join must
-// land exactly once — on the old owner (and be re-pushed by the migration)
-// or on the new one — never be lost, never duplicated.
-TEST(DistEngineTest, ConcurrentAppendsDuringRebalanceLoseNothing) {
-  constexpr int kDatasets = 4;
-  constexpr int kAppendsPerDataset = 60;
-  DistEngine engine(Options(2));
-  for (int d = 0; d < kDatasets; ++d) {
-    engine.Write("live/" + std::to_string(d), {});
-  }
-  std::vector<std::thread> writers;
-  writers.reserve(kDatasets);
-  for (int d = 0; d < kDatasets; ++d) {
-    writers.emplace_back([&engine, d] {
-      const std::string name = "live/" + std::to_string(d);
-      for (int i = 0; i < kAppendsPerDataset; ++i) {
-        engine.Append(name, MakeBlock(static_cast<unsigned char>(i)));
-      }
-    });
-  }
-  // Two membership changes race the appends: a join and a leave.
-  const WorkerId added = engine.AddWorker();
-  engine.RemoveWorker(engine.Workers()[0] == added ? engine.Workers()[1]
-                                                   : engine.Workers()[0]);
-  for (std::thread& t : writers) t.join();
-
-  for (int d = 0; d < kDatasets; ++d) {
-    const std::string name = "live/" + std::to_string(d);
-    const auto replica_blocks = engine.replica().Read(name);
-    ASSERT_TRUE(replica_blocks.has_value());
-    // Appends are per-dataset single-threaded, so the replica must hold all
-    // of them in order.
-    ASSERT_EQ(replica_blocks->size(),
-              static_cast<std::size_t>(kAppendsPerDataset));
-    for (int i = 0; i < kAppendsPerDataset; ++i) {
-      EXPECT_EQ((*replica_blocks)[i],
-                MakeBlock(static_cast<unsigned char>(i)));
-    }
-  }
-  // After the dust settles the shards agree with the replica byte-for-byte.
-  ExpectShardsMatchReplica(engine);
-}
-
-// A worker dying while a migration is reconciling must leave the map
-// consistent: the restarted pass places every dataset on a live owner.
-TEST(DistEngineTest, WorkerDeathDuringMigrationLeavesMapConsistent) {
-  DistEngine engine(Options(2));
-  for (int i = 0; i < 12; ++i) {
-    engine.Write("mm/" + std::to_string(i), {MakeBlock(i & 0xff)});
-  }
-  const WorkerId victim = engine.Workers()[0];
-  // The corpse is still in the ShardMap when AddWorker starts its
-  // reconcile, so the pass hits a dead owner mid-migration, declares it
-  // dead and restarts against the updated map.
-  engine.KillWorker(victim);
-  const WorkerId added = engine.AddWorker();
-  const std::vector<WorkerId> workers = engine.Workers();
-  // The corpse was discovered and replaced during the pass (respawn keeps
-  // capacity), so the map holds only live workers: the survivor, the
-  // joiner, and the corpse's replacement.
-  EXPECT_GE(workers.size(), 2u);
-  EXPECT_FALSE(std::count(workers.begin(), workers.end(), victim));
-  for (const WorkerId w : workers) EXPECT_TRUE(engine.Ping(w));
-  EXPECT_TRUE(std::count(workers.begin(), workers.end(), added));
-  ExpectShardsMatchReplica(engine);
-}
-
-TEST(DistEngineTest, ShardSumRunsAgainstTheHostingShard) {
-  DistEngine engine(Options(3));
-  engine.Write("sum/a", {Block{1, 2, 3}, Block{10}});
-  TaskSpec spec;
-  spec.payload = EncodeValue<std::string>("sum/a");
-  spec.locality_dataset = "sum/a";
-  const std::vector<Bytes> outputs =
-      engine.RunTasks("sum-job", "evm.shard_sum", std::vector<TaskSpec>{spec});
-  ASSERT_EQ(outputs.size(), 1u);
-  EXPECT_EQ(DecodeValue<std::uint64_t>(outputs[0]), 16u);
 }
 
 TEST(DistEngineTest, PingReportsLiveness) {

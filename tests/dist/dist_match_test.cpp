@@ -164,13 +164,6 @@ TEST(DistSoakTest, ByteIdenticalUnderSeededKillSchedule) {
   match.dataset = config;
   DistMatcher matcher(engine, match);
   EXPECT_EQ(EncodeReport(matcher.Match(targets)), expected);
-
-  // Drain hygiene: matching leaves no datasets behind — neither in the
-  // replica spill nor on any worker shard.
-  EXPECT_TRUE(engine.List().empty());
-  for (const WorkerId w : engine.Workers()) {
-    EXPECT_TRUE(engine.WorkerDatasets(w).empty()) << "worker " << w;
-  }
 }
 
 }  // namespace
