@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot operations of the pipeline:
-// observation rendering, feature extraction, feature distance, the scalar
+// observation rendering, feature extraction, the two together as the
+// gallery's per-miss extraction, feature distance, the scalar
 // vs. batched best-match-in-scenario kernels, scenario-set splitting, and
 // the MapReduce shuffle. Results are also written to BENCH_core_ops.json
 // (name, ns/op, items/s) so the perf trajectory is tracked across PRs.
@@ -21,6 +22,7 @@
 #include "vsense/feature_block.hpp"
 #include "vsense/features.hpp"
 #include "vsense/reid.hpp"
+#include "vsense/visual_oracle.hpp"
 
 namespace evm {
 namespace {
@@ -45,6 +47,20 @@ void BM_ExtractFeatures(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExtractFeatures);
+
+// The per-miss cost the feature gallery pays: VisualOracle::Extract renders
+// a fresh observation and extracts its feature (the V stage's unit of work).
+void BM_ObservationFeatures(benchmark::State& state) {
+  const VisualOracle oracle(GenerateAppearances(16, MakeStream(4, "a")),
+                            RenderParams{}, FeatureParams{});
+  VObservation obs;
+  for (auto _ : state) {
+    obs.vid = Vid(obs.render_seed % oracle.IdentityCount());
+    ++obs.render_seed;
+    benchmark::DoNotOptimize(oracle.Extract(obs));
+  }
+}
+BENCHMARK(BM_ObservationFeatures);
 
 void BM_FeatureDistance(benchmark::State& state) {
   const auto apps = GenerateAppearances(2, MakeStream(3, "a"));

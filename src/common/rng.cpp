@@ -74,13 +74,26 @@ double Rng::Gaussian() noexcept {
     has_cached_gaussian_ = false;
     return cached_gaussian_;
   }
-  double u1 = NextDouble();
-  while (u1 <= 0.0) u1 = NextDouble();
-  const double u2 = NextDouble();
+  double u1 = 0.0;
+  double u2 = 0.0;
+  NextBoxMullerUniforms(&u1, &u2, 1);
+  has_cached_gaussian_ = true;
+  return BoxMuller(u1, u2, cached_gaussian_);
+}
+
+void Rng::NextBoxMullerUniforms(double* u1, double* u2,
+                                std::size_t count) noexcept {
+  for (std::size_t i = 0; i < count; ++i) {
+    u1[i] = NextDouble();
+    while (u1[i] <= 0.0) u1[i] = NextDouble();
+    u2[i] = NextDouble();
+  }
+}
+
+double Rng::BoxMuller(double u1, double u2, double& second) noexcept {
   const double r = std::sqrt(-2.0 * std::log(u1));
   const double theta = 2.0 * std::numbers::pi * u2;
-  cached_gaussian_ = r * std::sin(theta);
-  has_cached_gaussian_ = true;
+  second = r * std::sin(theta);
   return r * std::cos(theta);
 }
 

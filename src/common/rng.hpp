@@ -7,6 +7,7 @@
 // and lets independent modules consume randomness without perturbing each
 // other — a property the tests rely on heavily.
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -60,6 +61,20 @@ class Rng {
 
   /// Standard normal via Box-Muller (cached second variate).
   double Gaussian() noexcept;
+
+  /// Draws the uniform pairs that `count` successive uncached Gaussian()
+  /// calls consume, in their order: per pair u1 in (0, 1) (a zero draw is
+  /// redrawn), then u2 in [0, 1).
+  void NextBoxMullerUniforms(double* u1, double* u2,
+                             std::size_t count) noexcept;
+
+  /// The Box-Muller transform Gaussian() applies to one uniform pair:
+  /// returns the variate Gaussian() hands out first (the cosine one) and
+  /// stores the one it caches (the sine one) in `second`. Out of line on
+  /// purpose: bulk kernels that certify an approximation against it must
+  /// call this one definition, compiled without FMA contraction, to
+  /// reproduce Gaussian() bit for bit (DESIGN.md §18).
+  static double BoxMuller(double u1, double u2, double& second) noexcept;
 
   /// Normal with the given mean and standard deviation.
   double Gaussian(double mean, double stddev) noexcept;

@@ -29,6 +29,10 @@ StreamDriver::StreamDriver(const Grid& grid, const VisualOracle& oracle,
                pool_.get(), scheduler_.get()),
       admission_(config_.admission) {
   obs::MetricsRegistry& reg = metrics();
+  e_records_counter_ = reg.counter(kCtrERecords);
+  v_detections_counter_ = reg.counter(kCtrVDetections);
+  throttled_counter_ = reg.counter(kCtrThrottled);
+  shed_records_counter_ = reg.counter(kCtrShedRecords);
   lanes_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
     auto lane = std::make_unique<Lane>();
@@ -58,7 +62,7 @@ void StreamDriver::Start() {
 PushResult StreamDriver::PushE(const ERecord& record, TenantId tenant) {
   if (!admission_.Admit(tenant, NowNanos())) {
     throttled_.fetch_add(1);
-    metrics().counter(kCtrThrottled).Add();
+    throttled_counter_.Add();
     return PushResult::kThrottled;
   }
   ELaneItem item;
@@ -68,7 +72,7 @@ PushResult StreamDriver::PushE(const ERecord& record, TenantId tenant) {
   const PushResult result = lane.e_queue->Push(std::move(item));
   if (result == PushResult::kAccepted ||
       result == PushResult::kAcceptedDroppedOldest) {
-    metrics().counter(kCtrERecords).Add();
+    e_records_counter_.Add();
   }
   return result;
 }
@@ -76,14 +80,14 @@ PushResult StreamDriver::PushE(const ERecord& record, TenantId tenant) {
 PushResult StreamDriver::PushV(const VDetection& detection, TenantId tenant) {
   if (!admission_.Admit(tenant, NowNanos())) {
     throttled_.fetch_add(1);
-    metrics().counter(kCtrThrottled).Add();
+    throttled_counter_.Add();
     return PushResult::kThrottled;
   }
   if (config_.shed.enabled) {
     UpdateShedding(v_backlog_.load());
     if (shedding_.load()) {
       shed_.fetch_add(1);
-      metrics().counter(kCtrShedRecords).Add();
+      shed_records_counter_.Add();
       return PushResult::kShed;
     }
   }
@@ -94,10 +98,10 @@ PushResult StreamDriver::PushV(const VDetection& detection, TenantId tenant) {
   const PushResult result = lane.v_queue->Push(std::move(item));
   if (result == PushResult::kAccepted) {
     v_backlog_.fetch_add(1);
-    metrics().counter(kCtrVDetections).Add();
+    v_detections_counter_.Add();
   } else if (result == PushResult::kAcceptedDroppedOldest) {
     // One in, one out: the backlog is unchanged.
-    metrics().counter(kCtrVDetections).Add();
+    v_detections_counter_.Add();
   }
   return result;
 }

@@ -218,6 +218,13 @@ class StreamDriver {
   std::atomic<std::uint64_t> throttled_{0};
   std::atomic<std::uint64_t> shed_{0};
 
+  /// Push-path counter handles, resolved once in the constructor: a
+  /// per-record counter(name) would take the registry mutex every push.
+  obs::Counter e_records_counter_;
+  obs::Counter v_detections_counter_;
+  obs::Counter throttled_counter_;
+  obs::Counter shed_records_counter_;
+
   bool started_{false};
   bool drained_{false};
   MatchReport drained_report_;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "vsense/kernels/observation.hpp"
 
 namespace evm {
 
@@ -29,9 +30,25 @@ std::vector<LatentAppearance> GenerateAppearances(std::size_t count, Rng rng) {
 Image RenderObservation(const LatentAppearance& appearance,
                         const RenderParams& params,
                         std::uint64_t render_seed) {
+  return RenderObservationWithIsa(kernels::ActiveIsa(), appearance, params,
+                                  render_seed);
+}
+
+Image RenderObservationWithIsa(kernels::Isa isa,
+                               const LatentAppearance& appearance,
+                               const RenderParams& params,
+                               std::uint64_t render_seed) {
   Rng rng(render_seed);
   Image image(params.width, params.height);
-  const double gain = std::max(0.2, rng.Gaussian(1.0, params.illumination_sigma));
+  // The gain is the stream's first Gaussian() draw. Its pair's second
+  // variate is what serves the pixel loop's first texture draw, so the pair
+  // opens the noise stream as pair 0 of the first chunk.
+  kernels::NoiseChunk noise{};
+  rng.NextBoxMullerUniforms(noise.u1, noise.u2, 1);
+  noise.first[0] = Rng::BoxMuller(noise.u1[0], noise.u2[0], noise.second[0]);
+  // Rng::Gaussian(mean, stddev) is mean + stddev * Gaussian().
+  const double gain =
+      std::max(0.2, 1.0 + params.illumination_sigma * noise.first[0]);
   const double stripe_height =
       static_cast<double>(params.height) / kAppearanceStripes;
   const double jitter =
@@ -57,6 +74,7 @@ Image RenderObservation(const LatentAppearance& appearance,
     }
   }
 
+  std::uint8_t* pixels = image.data();
   for (std::size_t y = 0; y < params.height; ++y) {
     // Vertical mis-cropping shifts which stripe a row samples from.
     const double shifted = static_cast<double>(y) + jitter;
@@ -65,22 +83,33 @@ Image RenderObservation(const LatentAppearance& appearance,
         static_cast<double>(kAppearanceStripes) - 1.0));
     const auto& stripe = appearance.stripes[stripe_index];
     const Occlusion& occlusion = occlusions[stripe_index];
-    double base[3] = {stripe.r, stripe.g, stripe.b};
+    kernels::RowShade shade{{stripe.r, stripe.g, stripe.b},
+                            gain,
+                            stripe.texture_amp,
+                            params.sensor_noise};
     if (occlusion.active) {
       const double occluder[3] = {occlusion.r, occlusion.g, occlusion.b};
       for (std::size_t c = 0; c < 3; ++c) {
-        base[c] = (1.0 - occlusion.alpha) * base[c] +
-                  occlusion.alpha * occluder[c];
+        shade.base[c] = (1.0 - occlusion.alpha) * shade.base[c] +
+                        occlusion.alpha * occluder[c];
       }
     }
-    for (std::size_t x = 0; x < params.width; ++x) {
-      const double texture = rng.Gaussian(0.0, stripe.texture_amp);
-      const double sensor = rng.Gaussian(0.0, params.sensor_noise);
-      for (std::size_t c = 0; c < 3; ++c) {
-        const double v = base[c] * gain + texture + sensor;
-        image.Set(x, y, c,
-                  static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0)));
-      }
+    // Each pixel draws a texture then a sensor Gaussian; the uniforms are
+    // drawn here in exactly the order those Gaussian() calls would draw
+    // them, and the kernel evaluates and certifies them in bulk.
+    for (std::size_t x = 0; x < params.width;
+         x += kernels::NoiseChunk::kPixels) {
+      const std::size_t n =
+          std::min(kernels::NoiseChunk::kPixels, params.width - x);
+      rng.NextBoxMullerUniforms(noise.u1 + 1, noise.u2 + 1, n);
+      kernels::ShadePixelsWithIsa(isa, noise, n, shade,
+                                  kernels::kBoxMullerErrorBound,
+                                  pixels + (y * params.width + x) * 3);
+      // Pair n's second variate serves the next pixel's texture draw.
+      noise.u1[0] = noise.u1[n];
+      noise.u2[0] = noise.u2[n];
+      noise.first[0] = noise.first[n];
+      noise.second[0] = noise.second[n];
     }
   }
   return image;

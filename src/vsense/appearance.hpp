@@ -16,6 +16,7 @@
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "vsense/image.hpp"
+#include "vsense/kernels/dispatch.hpp"
 
 namespace evm {
 
@@ -57,9 +58,19 @@ struct RenderParams {
     std::size_t count, Rng rng);
 
 /// Renders one observation of `appearance` with per-observation nuisance
-/// noise derived deterministically from `render_seed`.
+/// noise derived deterministically from `render_seed`. The pixel noise runs
+/// through the certified observation kernel (vsense/kernels/observation.hpp):
+/// the bytes are exactly those of drawing every pixel with Rng::Gaussian().
 [[nodiscard]] Image RenderObservation(const LatentAppearance& appearance,
                                       const RenderParams& params,
                                       std::uint64_t render_seed);
+
+/// RenderObservation on a fixed kernel ISA, for the equivalence tests. The
+/// output is identical for every ISA; calling with an unsupported one is
+/// undefined (SIGILL), so tests gate on kernels::IsaSupported.
+[[nodiscard]] Image RenderObservationWithIsa(kernels::Isa isa,
+                                             const LatentAppearance& appearance,
+                                             const RenderParams& params,
+                                             std::uint64_t render_seed);
 
 }  // namespace evm

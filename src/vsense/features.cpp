@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 
@@ -15,49 +16,69 @@ FeatureVector ExtractFeatures(const Image& image, const FeatureParams& params) {
   const std::size_t stripe_floats = 3 * params.bins_per_channel;
   const double rows_per_stripe =
       static_cast<double>(image.height()) / params.stripes;
+  const std::size_t width = image.width();
+  const std::uint8_t* pixels = image.pixels().data();
 
   // Gray-world colour constancy: rescale each channel so its image-wide mean
   // is mid-gray. This cancels the per-observation illumination gain the
   // camera model applies — without it, a global gain shifts entire
   // histograms across bin boundaries and intra-person similarity collapses.
-  double channel_sum[3] = {0.0, 0.0, 0.0};
-  for (std::size_t y = 0; y < image.height(); ++y) {
-    for (std::size_t x = 0; x < image.width(); ++x) {
-      for (std::size_t c = 0; c < 3; ++c) channel_sum[c] += image.At(x, y, c);
-    }
+  // Integer sums are exact, so the double mean is too.
+  std::uint64_t channel_sum[3] = {0, 0, 0};
+  for (std::size_t i = 0; i < width * image.height(); ++i) {
+    for (std::size_t c = 0; c < 3; ++c) channel_sum[c] += pixels[3 * i + c];
   }
-  const double pixels =
-      static_cast<double>(image.width()) * static_cast<double>(image.height());
+  const double pixel_count =
+      static_cast<double>(width) * static_cast<double>(image.height());
   double gain[3];
   for (std::size_t c = 0; c < 3; ++c) {
-    const double mean = channel_sum[c] / pixels;
+    const double mean = static_cast<double>(channel_sum[c]) / pixel_count;
     gain[c] = mean > 1.0 ? 128.0 / mean : 1.0;
   }
 
+  // Soft binning: split each pixel's vote linearly between the two nearest
+  // bin centres so that small colour shifts move mass smoothly instead of
+  // flipping bins. A channel value is a byte, so the split is tabulated once
+  // per (channel, byte) from the same expression.
+  struct SoftBin {
+    std::uint32_t lo;
+    std::uint32_t hi;
+    float lo_weight;
+    float hi_weight;
+  };
+  SoftBin table[3][256] = {};
   const double bin_width = 256.0 / static_cast<double>(params.bins_per_channel);
+  const auto last = static_cast<std::int64_t>(params.bins_per_channel) - 1;
+  for (std::size_t c = 0; c < 3; ++c) {
+    for (std::size_t b = 0; b < 256; ++b) {
+      const double v =
+          std::clamp(static_cast<double>(b) * gain[c], 0.0, 255.999);
+      const double pos = v / bin_width - 0.5;
+      const auto lo = static_cast<std::int64_t>(std::floor(pos));
+      const double hi_weight = pos - static_cast<double>(lo);
+      const auto bin = [&](std::int64_t index) {
+        return static_cast<std::uint32_t>(
+            c * params.bins_per_channel +
+            static_cast<std::size_t>(std::clamp<std::int64_t>(index, 0, last)));
+      };
+      table[c][b] = {bin(lo), bin(lo + 1), static_cast<float>(1.0 - hi_weight),
+                     static_cast<float>(hi_weight)};
+    }
+  }
+
+  // Votes land in pixel order, channel by channel, low bin before high bin:
+  // each bin's float sum rounds as if the split were computed per pixel.
   for (std::size_t y = 0; y < image.height(); ++y) {
     const auto stripe = std::min(
         params.stripes - 1,
         static_cast<std::size_t>(static_cast<double>(y) / rows_per_stripe));
     float* block = feature.data() + stripe * stripe_floats;
-    for (std::size_t x = 0; x < image.width(); ++x) {
+    const std::uint8_t* row = pixels + y * width * 3;
+    for (std::size_t x = 0; x < width; ++x) {
       for (std::size_t c = 0; c < 3; ++c) {
-        const double v =
-            std::clamp(image.At(x, y, c) * gain[c], 0.0, 255.999);
-        // Soft binning: split each pixel's vote linearly between the two
-        // nearest bin centres so that small colour shifts move mass
-        // smoothly instead of flipping bins.
-        const double pos = v / bin_width - 0.5;
-        const auto lo = static_cast<std::int64_t>(std::floor(pos));
-        const double hi_weight = pos - static_cast<double>(lo);
-        float* channel = block + c * params.bins_per_channel;
-        const auto last =
-            static_cast<std::int64_t>(params.bins_per_channel) - 1;
-        const std::int64_t lo_clamped = std::clamp<std::int64_t>(lo, 0, last);
-        const std::int64_t hi_clamped =
-            std::clamp<std::int64_t>(lo + 1, 0, last);
-        channel[lo_clamped] += static_cast<float>(1.0 - hi_weight);
-        channel[hi_clamped] += static_cast<float>(hi_weight);
+        const SoftBin& bin = table[c][row[3 * x + c]];
+        block[bin.lo] += bin.lo_weight;
+        block[bin.hi] += bin.hi_weight;
       }
     }
   }

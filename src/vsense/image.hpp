@@ -34,6 +34,8 @@ class Image {
   [[nodiscard]] const std::vector<std::uint8_t>& pixels() const noexcept {
     return pixels_;
   }
+  /// Row-major interleaved RGB bytes, for renderers that write in bulk.
+  [[nodiscard]] std::uint8_t* data() noexcept { return pixels_.data(); }
 
  private:
   std::size_t width_;

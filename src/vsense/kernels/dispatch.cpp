@@ -10,7 +10,10 @@ namespace {
 
 bool CpuHasAvx2() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
+  // FMA rides along for the observation kernel's polynomials; every AVX2
+  // CPU shipped so far has it, but the check keeps the gate honest.
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("fma") != 0;
 #else
   return false;
 #endif

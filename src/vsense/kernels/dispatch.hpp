@@ -1,12 +1,13 @@
 #pragma once
-// Runtime ISA dispatch for the V-stage similarity kernels.
+// Runtime ISA dispatch for the V-stage kernels (similarity and observation).
 //
 // The translation units in src/vsense/kernels/ compile every variant with
 // per-function target attributes (no global -march flags), and ActiveIsa()
 // picks the widest ISA the running CPU supports — once, at first use. Every
-// variant of a kernel is arithmetic-identical to the scalar reference (see
-// DESIGN.md §12), so dispatch is a pure performance decision: match output
-// never depends on the chosen ISA.
+// similarity kernel variant is arithmetic-identical to the scalar reference
+// (DESIGN.md §12), and the observation kernel certifies its output against
+// the exact scalar path (§18), so dispatch is a pure performance decision:
+// images, features and match output never depend on the chosen ISA.
 //
 // EVM_KERNEL_ISA=scalar|avx2|avx512|neon|auto overrides the choice (used by
 // the CI scalar leg and the equivalence tests); requesting an ISA the CPU
@@ -19,7 +20,7 @@ namespace evm::kernels {
 
 enum class Isa {
   kScalar,
-  kAvx2,    // x86: AVX2 float kernels + SSE/AVX2 SAD
+  kAvx2,    // x86: AVX2 float kernels + SSE/AVX2 SAD (+ FMA Box-Muller)
   kAvx512,  // x86: AVX-512 F/DQ/BW dual-row float + 512-bit SAD
   kNeon,    // aarch64 (baseline there, so always supported)
 };
